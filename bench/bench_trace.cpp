@@ -6,13 +6,14 @@
 // and decode at least as fast (docs/TRACE_FORMAT.md).
 //
 // Sections (items = trace rows across all kinds and PEs):
-//   csv_write / csv_read — Sink emission / istream parsing
+//   csv_write / csv_read — Sink emission / string_view parsing
 //   bin_write / bin_read — columnar encode / decode (CRC verified)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "apps/triangle.hpp"
@@ -91,43 +92,32 @@ double best_of_3(Fn&& fn) {
   return best;
 }
 
+/// Call f(rows, aux) for every shard of the run, in write_all's order.
+template <class F>
+void for_each_shard(const Records& r, F&& f) {
+  const prof::io::ShardAux none;
+  const prof::io::ShardAux papi = prof::io::papi_aux(r.cfg);
+  for (const auto& rows : r.logical) f(rows, none);
+  for (const auto& rows : r.papi) f(rows, papi);
+  for (const auto& rows : r.steps) f(rows, none);
+  f(r.physical, none);
+}
+
 std::vector<std::string> encode_csv(const Records& r) {
   std::vector<std::string> bodies;
-  for (int pe = 0; pe < kPes; ++pe) {
+  for_each_shard(r, [&](const auto& rows, const prof::io::ShardAux& aux) {
     prof::io::Sink s;
-    prof::io::write_logical(s, r.logical[static_cast<std::size_t>(pe)]);
+    prof::io::write_csv(s, rows, aux);
     bodies.push_back(std::move(s).str());
-  }
-  for (int pe = 0; pe < kPes; ++pe) {
-    prof::io::Sink s;
-    prof::io::write_papi(s, r.papi[static_cast<std::size_t>(pe)], r.cfg);
-    bodies.push_back(std::move(s).str());
-  }
-  for (int pe = 0; pe < kPes; ++pe) {
-    prof::io::Sink s;
-    prof::io::write_steps(s, r.steps[static_cast<std::size_t>(pe)]);
-    bodies.push_back(std::move(s).str());
-  }
-  {
-    prof::io::Sink s;
-    prof::io::write_physical(s, r.physical);
-    bodies.push_back(std::move(s).str());
-  }
+  });
   return bodies;
 }
 
 std::vector<std::string> encode_bin(const Records& r) {
   std::vector<std::string> bodies;
-  for (int pe = 0; pe < kPes; ++pe)
-    bodies.push_back(
-        prof::io::encode_logical(r.logical[static_cast<std::size_t>(pe)]));
-  for (int pe = 0; pe < kPes; ++pe)
-    bodies.push_back(
-        prof::io::encode_papi(r.papi[static_cast<std::size_t>(pe)], r.cfg));
-  for (int pe = 0; pe < kPes; ++pe)
-    bodies.push_back(
-        prof::io::encode_steps(r.steps[static_cast<std::size_t>(pe)]));
-  bodies.push_back(prof::io::encode_physical(r.physical));
+  for_each_shard(r, [&](const auto& rows, const prof::io::ShardAux& aux) {
+    bodies.push_back(prof::io::encode_apt(rows, aux));
+  });
   return bodies;
 }
 
@@ -137,63 +127,34 @@ std::uint64_t total_bytes(const std::vector<std::string>& bodies) {
   return n;
 }
 
-std::uint64_t decode_csv(const std::vector<std::string>& bodies) {
+/// Decode every body back into rows of its shard's type (`r` supplies the
+/// shard order); returns the row total.
+template <class Decode>
+std::uint64_t decode_all(const Records& r,
+                         const std::vector<std::string>& bodies,
+                         Decode&& decode) {
   std::uint64_t rows = 0;
-  std::vector<prof::LogicalSendRecord> lg;
-  std::vector<prof::PapiSegmentRecord> pp;
-  std::vector<prof::SuperstepRecord> st;
-  std::vector<prof::PhysicalRecord> ph;
-  for (int i = 0; i < kPes; ++i) {
-    lg.clear();
-    std::istringstream is(bodies[static_cast<std::size_t>(i)]);
-    prof::io::parse_logical_into(is, lg);
-    rows += lg.size();
-  }
-  for (int i = 0; i < kPes; ++i) {
-    pp.clear();
-    std::istringstream is(bodies[static_cast<std::size_t>(kPes + i)]);
-    prof::io::parse_papi_into(is, pp);
-    rows += pp.size();
-  }
-  for (int i = 0; i < kPes; ++i) {
-    st.clear();
-    std::istringstream is(bodies[static_cast<std::size_t>(2 * kPes + i)]);
-    prof::io::parse_steps_into(is, st);
-    rows += st.size();
-  }
-  ph.clear();
-  std::istringstream is(bodies[static_cast<std::size_t>(3 * kPes)]);
-  prof::io::parse_physical_into(is, ph);
-  return rows + ph.size();
+  std::size_t i = 0;
+  for_each_shard(r, [&](const auto& like, const prof::io::ShardAux&) {
+    std::decay_t<decltype(like)> out;
+    decode(bodies[i++], out);
+    rows += out.size();
+  });
+  return rows;
 }
 
-std::uint64_t decode_bin(const std::vector<std::string>& bodies) {
-  std::uint64_t rows = 0;
-  std::vector<prof::LogicalSendRecord> lg;
-  std::vector<prof::PapiSegmentRecord> pp;
-  std::vector<prof::SuperstepRecord> st;
-  std::vector<prof::PhysicalRecord> ph;
-  for (int i = 0; i < kPes; ++i) {
-    lg.clear();
-    prof::io::decode_logical_into(bodies[static_cast<std::size_t>(i)], lg);
-    rows += lg.size();
-  }
-  for (int i = 0; i < kPes; ++i) {
-    pp.clear();
-    prof::io::decode_papi_into(bodies[static_cast<std::size_t>(kPes + i)],
-                               pp);
-    rows += pp.size();
-  }
-  for (int i = 0; i < kPes; ++i) {
-    st.clear();
-    prof::io::decode_steps_into(
-        bodies[static_cast<std::size_t>(2 * kPes + i)], st);
-    rows += st.size();
-  }
-  ph.clear();
-  prof::io::decode_physical_into(bodies[static_cast<std::size_t>(3 * kPes)],
-                                 ph);
-  return rows + ph.size();
+std::uint64_t decode_csv(const Records& r,
+                         const std::vector<std::string>& bodies) {
+  return decode_all(r, bodies, [](std::string_view b, auto& out) {
+    prof::io::parse_csv(b, out);
+  });
+}
+
+std::uint64_t decode_bin(const Records& r,
+                         const std::vector<std::string>& bodies) {
+  return decode_all(r, bodies, [](std::string_view b, auto& out) {
+    prof::io::decode_apt(b, out);
+  });
 }
 
 }  // namespace
@@ -211,9 +172,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> bin;
   const double t_bin_w = best_of_3([&] { bin = encode_bin(r); });
   std::uint64_t csv_rows = 0;
-  const double t_csv_r = best_of_3([&] { csv_rows = decode_csv(csv); });
+  const double t_csv_r = best_of_3([&] { csv_rows = decode_csv(r, csv); });
   std::uint64_t bin_rows = 0;
-  const double t_bin_r = best_of_3([&] { bin_rows = decode_bin(bin); });
+  const double t_bin_r = best_of_3([&] { bin_rows = decode_bin(r, bin); });
   if (csv_rows != r.rows || bin_rows != r.rows) {
     std::fprintf(stderr,
                  "bench_trace: row mismatch (run %llu, csv %llu, bin %llu)\n",

@@ -642,7 +642,8 @@ void Profiler::close_superstep(PeData& d, int pe, std::uint64_t arrive) {
     metrics::OverheadMeter::Scope cost(meter_.bound() ? &meter_ : nullptr,
                                        OverheadCategory::publish, pe);
     publisher_->publish_file(io::binary_file_name(io::steps_file_name(pe)),
-                             io::encode_steps({r}), /*append=*/true);
+                             io::encode_apt(std::vector<SuperstepRecord>{r}),
+                             /*append=*/true);
   }
   ++d.cur_step;
   d.ss_main = d.t_main;

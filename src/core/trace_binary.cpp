@@ -4,9 +4,11 @@
 #include <array>
 #include <cstring>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
+#include "core/trace_schema.hpp"
 #include "metrics/sampler.hpp"
 
 namespace ap::prof::io {
@@ -122,7 +124,7 @@ struct Cursor {
 /// Delta + run-length: a stream of (zigzag delta, run count) pairs. A
 /// constant column — or one advancing by a constant stride — costs one
 /// pair per block.
-std::string encode_numeric(const std::vector<std::uint64_t>& v) {
+std::string encode_numeric(std::span<const std::uint64_t> v) {
   std::string out;
   std::uint64_t prev = 0;
   std::size_t i = 0;
@@ -138,21 +140,30 @@ std::string encode_numeric(const std::vector<std::uint64_t>& v) {
   return out;
 }
 
+/// Decode one delta-RLE column of `nrows` values, calling put(row, value)
+/// in row order.
+template <class Put>
+void decode_numeric(Cursor c, std::uint64_t nrows, Put&& put) {
+  std::uint64_t prev = 0;
+  std::uint64_t i = 0;
+  while (i < nrows) {
+    const std::uint64_t d = unzigzag(c.varint());
+    const std::uint64_t run = c.varint();
+    if (run == 0 || run > nrows - i) c.fail("bad run length");
+    for (std::uint64_t k = 0; k < run; ++k) {
+      prev += d;
+      put(i++, prev);
+    }
+  }
+  if (!c.done()) c.fail("trailing bytes in column");
+}
+
 void decode_numeric(Cursor c, std::uint64_t nrows,
                     std::vector<std::uint64_t>& out) {
   out.clear();
   out.reserve(nrows);
-  std::uint64_t prev = 0;
-  while (out.size() < nrows) {
-    const std::uint64_t d = unzigzag(c.varint());
-    const std::uint64_t run = c.varint();
-    if (run == 0 || run > nrows - out.size()) c.fail("bad run length");
-    for (std::uint64_t k = 0; k < run; ++k) {
-      prev += d;
-      out.push_back(prev);
-    }
-  }
-  if (!c.done()) c.fail("trailing bytes in column");
+  decode_numeric(c, nrows,
+                 [&](std::uint64_t, std::uint64_t v) { out.push_back(v); });
 }
 
 /// Dictionary: varint entry count, entries (varint len + bytes), then the
@@ -177,9 +188,9 @@ std::string encode_dict(const std::vector<std::string_view>& v) {
   return out;
 }
 
-void decode_dict(Cursor c, std::uint64_t nrows,
-                 std::vector<std::string>& out) {
-  out.clear();
+/// Decode one dictionary column, calling put(row, text) in row order.
+template <class Put>
+void decode_dict(Cursor c, std::uint64_t nrows, Put&& put) {
   const std::uint64_t n_entries = c.varint();
   if (n_entries > c.body.size()) c.fail("bad dictionary size");
   std::vector<std::string_view> entries;
@@ -191,71 +202,144 @@ void decode_dict(Cursor c, std::uint64_t nrows,
   }
   std::vector<std::uint64_t> idx;
   decode_numeric(c, nrows, idx);  // consumes the remainder exactly
-  out.reserve(nrows);
-  for (const std::uint64_t i : idx) {
-    if (i >= entries.size()) c.fail("dictionary index out of range");
-    out.emplace_back(entries[i]);
+  for (std::uint64_t i = 0; i < nrows; ++i) {
+    if (idx[i] >= entries.size()) c.fail("dictionary index out of range");
+    put(i, entries[idx[i]]);
   }
 }
 
 // ------------------------------------------------------------- file framing
 
-std::string header(BinKind kind, std::size_t ncols, std::string_view aux) {
+std::string header(std::uint8_t version, std::uint8_t kind,
+                   std::uint8_t flags, std::size_t ncols,
+                   std::string_view aux) {
   std::string out;
   out.append(kAptMagic);
-  out.push_back(static_cast<char>(kAptVersion));
+  out.push_back(static_cast<char>(version));
   out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(kFlagCrc));
+  out.push_back(static_cast<char>(flags));
   out.push_back(static_cast<char>(ncols));
   put_varint(out, aux.size());
   out.append(aux);
   return out;
 }
 
-/// One encoded column of a block: encoding byte + payload.
-struct EncodedColumn {
-  std::uint8_t encoding = kEncDeltaRle;
-  std::string payload;
-};
+std::string header(BinKind kind, std::size_t ncols, std::string_view aux) {
+  return header(kAptVersion, static_cast<std::uint8_t>(kind), kFlagCrc, ncols,
+                aux);
+}
 
-void emit_block(std::string& out, std::size_t nrows,
-                const std::vector<EncodedColumn>& cols) {
+/// Append one block: 'B', the row count, body(out) — the column sections,
+/// or a version-2 block flag and its payload — then the CRC when `crc`.
+template <class Body>
+void emit_block(std::string& out, std::uint64_t nrows, bool crc,
+                Body&& body) {
   const std::size_t start = out.size();
   out.push_back('B');
   put_varint(out, nrows);
-  for (const EncodedColumn& c : cols) {
-    out.push_back(static_cast<char>(c.encoding));
-    put_varint(out, c.payload.size());
-    out.append(c.payload);
-  }
-  put_u32le(out, crc32(out.data() + start, out.size() - start));
+  body(out);
+  if (crc) put_u32le(out, crc32(out.data() + start, out.size() - start));
 }
 
-/// Encode `rows` in kRowsPerBlock slices. `fill(row, dst)` writes the
-/// row's `ncols` u64 column values.
-template <class Rec, class Fill>
-std::string encode_rows(BinKind kind, std::string_view aux,
-                        const std::vector<Rec>& rows, std::size_t ncols,
-                        Fill&& fill) {
-  std::string out = header(kind, ncols, aux);
-  std::vector<std::vector<std::uint64_t>> cols(ncols);
-  std::vector<std::uint64_t> tmp(ncols);
-  std::vector<EncodedColumn> encoded(ncols);
-  for (std::size_t base = 0; base < rows.size(); base += kRowsPerBlock) {
-    const std::size_t n = std::min(kRowsPerBlock, rows.size() - base);
-    for (auto& c : cols) {
-      c.clear();
-      c.reserve(n);
+/// One column section of a block: encoding byte + payload.
+void put_column(std::string& out, std::uint8_t encoding,
+                std::string_view payload) {
+  out.push_back(static_cast<char>(encoding));
+  put_varint(out, payload.size());
+  out.append(payload);
+}
+
+/// A parsed file header.
+struct Header {
+  std::uint8_t version = 0, kind = 0, flags = 0, ncols = 0;
+  std::string_view aux;
+};
+
+/// Parse the header, leaving `c` at the first block. A nonzero `kind` /
+/// `ncols` must match.
+Header read_header(Cursor& c, std::uint8_t kind = 0, std::size_t ncols = 0) {
+  if (c.body.size() < 8 || c.body.substr(0, 4) != kAptMagic)
+    c.fail("bad .apt magic");
+  c.pos = 4;
+  Header h;
+  h.version = c.u8();
+  if (h.version != kAptVersion && h.version != kAptVersionCompressed)
+    c.fail("unsupported .apt version");
+  h.kind = c.u8();
+  if (kind != 0 && h.kind != kind) c.fail("wrong record kind");
+  h.flags = c.u8();
+  h.ncols = c.u8();
+  if (ncols != 0 && h.ncols != ncols) c.fail("unexpected column count");
+  const std::uint64_t aux_len = c.varint();
+  if (aux_len > c.body.size() - c.pos) c.fail("bad aux length");
+  h.aux = c.take(aux_len);
+  return h;
+}
+
+/// Walk the blocks after the header. Each block's CRC is verified, then
+/// on_block(block_index, block_start, nrows, sections, sections_offset, lz)
+/// gets its column sections: as stored, or decompressed from a version-2
+/// LZ block (whose bytes map to no file offset; sections_offset is then
+/// the block start). Errors carry (block, offset) attribution.
+template <class OnBlock>
+void for_each_block(Cursor& c, const Header& h, OnBlock&& on_block) {
+  std::string scratch;  // decompressed column sections; reused per block
+  std::size_t block = 0;
+  while (!c.done()) {
+    c.block = ++block;
+    const std::size_t block_start = c.pos;
+    if (c.u8() != 'B') {
+      c.pos = block_start;
+      c.fail("bad block marker");
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      fill(rows[base + i], tmp.data());
-      for (std::size_t k = 0; k < ncols; ++k) cols[k].push_back(tmp[k]);
+    const std::uint64_t nrows = c.varint();
+    if (nrows > kMaxRowsSanity) c.fail("implausible row count");
+    std::uint8_t bflag = kBlockStored;
+    if (h.version == kAptVersionCompressed) bflag = c.u8();
+    std::uint64_t raw_len = 0;
+    std::size_t sections_off = c.pos;
+    std::string_view sections;
+    if (bflag == kBlockLz) {
+      raw_len = c.varint();
+      const std::uint64_t comp_len = c.varint();
+      if (raw_len > kMaxRawBlockSanity) c.fail("implausible block size");
+      if (comp_len > c.body.size() - c.pos)
+        c.fail("truncated compressed block");
+      sections_off = c.pos;
+      sections = c.take(comp_len);
+    } else if (bflag == kBlockStored) {
+      for (std::size_t k = 0; k < h.ncols; ++k) {
+        c.u8();  // encoding
+        const std::uint64_t len = c.varint();
+        if (len > c.body.size() - c.pos) c.fail("truncated column payload");
+        c.take(len);
+      }
+      sections = c.body.substr(sections_off, c.pos - sections_off);
+    } else {
+      c.fail("unknown block flag");
     }
-    for (std::size_t k = 0; k < ncols; ++k)
-      encoded[k] = {kEncDeltaRle, encode_numeric(cols[k])};
-    emit_block(out, n, encoded);
+    if ((h.flags & kFlagCrc) != 0) {
+      const std::size_t crc_pos = c.pos;
+      const std::uint32_t stored = c.u32le();
+      if (stored != crc32(c.body.data() + block_start, crc_pos - block_start))
+        throw BinaryParseError(block, block_start, "block CRC mismatch");
+    }
+    if (bflag == kBlockLz) {
+      // CRC already vouched for the stored bytes; a decompression failure
+      // here means the frame itself was encoded wrong.
+      try {
+        scratch = lz_decompress(sections, raw_len);
+      } catch (const std::exception& e) {
+        throw BinaryParseError(block, sections_off,
+                               std::string("bad compressed block: ") +
+                                   e.what());
+      }
+      sections = scratch;
+      sections_off = block_start;
+    }
+    on_block(block, block_start, nrows, sections, sections_off,
+             bflag == kBlockLz);
   }
-  return out;
 }
 
 /// One structurally-parsed (and CRC-verified) block handed to a decoder.
@@ -272,121 +356,27 @@ template <class OnBlock>
 void decode_file(std::string_view body, BinKind expect, std::size_t ncols,
                  std::string_view& aux_out, OnBlock&& on_block) {
   Cursor c{body};
-  if (body.size() < 8 || body.substr(0, 4) != kAptMagic)
-    c.fail("bad .apt magic");
-  c.pos = 4;
-  const std::uint8_t version = c.u8();
-  if (version != kAptVersion && version != kAptVersionCompressed)
-    c.fail("unsupported .apt version");
-  if (static_cast<BinKind>(c.u8()) != expect) c.fail("wrong record kind");
-  const std::uint8_t flags = c.u8();
-  if (c.u8() != ncols) c.fail("unexpected column count");
-  const std::uint64_t aux_len = c.varint();
-  if (aux_len > body.size() - c.pos) c.fail("bad aux length");
-  aux_out = c.take(aux_len);
-
+  const Header h = read_header(c, static_cast<std::uint8_t>(expect), ncols);
+  aux_out = h.aux;
   std::vector<RawColumn> cols(ncols);
-  std::string scratch;  // decompressed column sections; reused per block
-  std::size_t block = 0;
-  while (!c.done()) {
-    c.block = ++block;
-    const std::size_t block_start = c.pos;
-    if (c.u8() != 'B') {
-      c.pos = block_start;
-      c.fail("bad block marker");
-    }
-    const std::uint64_t nrows = c.varint();
-    if (nrows > kMaxRowsSanity) c.fail("implausible row count");
-    std::uint8_t bflag = kBlockStored;
-    if (version == kAptVersionCompressed) bflag = c.u8();
-    std::uint64_t raw_len = 0;
-    std::size_t comp_off = 0;
-    std::string_view comp;
-    if (bflag == kBlockLz) {
-      raw_len = c.varint();
-      const std::uint64_t comp_len = c.varint();
-      if (raw_len > kMaxRawBlockSanity) c.fail("implausible block size");
-      if (comp_len > body.size() - c.pos) c.fail("truncated compressed block");
-      comp_off = c.pos;
-      comp = c.take(comp_len);
-    } else if (bflag == kBlockStored) {
-      for (std::size_t k = 0; k < ncols; ++k) {
-        const std::uint8_t enc = c.u8();
-        const std::uint64_t len = c.varint();
-        if (len > body.size() - c.pos) c.fail("truncated column payload");
-        const std::size_t off = c.pos;
-        cols[k] = {enc, c.take(len), off};
-      }
-    } else {
-      c.fail("unknown block flag");
-    }
-    if ((flags & kFlagCrc) != 0) {
-      const std::size_t crc_pos = c.pos;
-      const std::uint32_t stored = c.u32le();
-      const std::uint32_t fresh =
-          crc32(body.data() + block_start, crc_pos - block_start);
-      if (stored != fresh)
-        throw BinaryParseError(block, block_start, "block CRC mismatch");
-    }
-    if (bflag == kBlockLz) {
-      // CRC already vouched for the stored bytes; a decompression failure
-      // here means the frame itself was encoded wrong.
-      try {
-        scratch = lz_decompress(comp, raw_len);
-      } catch (const std::exception& e) {
-        throw BinaryParseError(block, comp_off,
-                               std::string("bad compressed block: ") +
-                                   e.what());
-      }
-      // Column offsets inside a compressed block cannot map to file bytes;
-      // attribute them to the block start.
-      Cursor sc{scratch, 0, block_start, block};
-      for (std::size_t k = 0; k < ncols; ++k) {
-        const std::uint8_t enc = sc.u8();
-        const std::uint64_t len = sc.varint();
-        if (len > scratch.size() - sc.pos)
-          sc.fail("truncated column payload");
-        cols[k] = {enc, sc.take(len), block_start};
-      }
-      if (!sc.done()) sc.fail("trailing bytes in compressed block");
-    }
-    on_block(block, nrows, cols);
-  }
-}
-
-/// Numeric-only kinds: decode every column, transpose, build records.
-/// Rows of each verified block land in `out` before the next block is
-/// read — the tolerant-load prefix guarantee.
-template <class Rec, class Build>
-void decode_numeric_kind(std::string_view body, BinKind kind,
-                         std::size_t ncols, std::vector<Rec>& out,
-                         std::string_view& aux_out, Build&& build) {
-  std::vector<std::vector<std::uint64_t>> vals(ncols);
-  decode_file(body, kind, ncols, aux_out,
-              [&](std::size_t block, std::uint64_t nrows,
-                  const std::vector<RawColumn>& cols) {
-                for (std::size_t k = 0; k < ncols; ++k) {
-                  Cursor cc{cols[k].payload, 0, cols[k].abs_offset, block};
-                  if (cols[k].encoding != kEncDeltaRle)
-                    cc.fail("unexpected column encoding");
-                  decode_numeric(cc, nrows, vals[k]);
-                }
-                out.reserve(out.size() + nrows);
-                std::vector<std::uint64_t> row(ncols);
-                for (std::uint64_t i = 0; i < nrows; ++i) {
-                  for (std::size_t k = 0; k < ncols; ++k) row[k] = vals[k][i];
-                  out.push_back(build(row.data()));
-                }
-              });
-}
-
-template <class T>
-std::uint64_t as_u64(T v) {
-  return static_cast<std::uint64_t>(v);
-}
-/// Sign-extending narrow for columns holding ints (stored as wrapped u64).
-int as_int(std::uint64_t v) {
-  return static_cast<int>(static_cast<std::int64_t>(v));
+  for_each_block(c, h,
+                 [&](std::size_t block, std::size_t, std::uint64_t nrows,
+                     std::string_view sections, std::size_t base, bool lz) {
+                   // Column offsets inside a compressed block cannot map to
+                   // file bytes; attribute them to the block start.
+                   Cursor sc{sections, 0, base, block};
+                   for (std::size_t k = 0; k < ncols; ++k) {
+                     const std::uint8_t enc = sc.u8();
+                     const std::uint64_t len = sc.varint();
+                     if (len > sections.size() - sc.pos)
+                       sc.fail("truncated column payload");
+                     const std::size_t off = lz ? base : base + sc.pos;
+                     cols[k] = {enc, sc.take(len), off};
+                   }
+                   if (!sc.done())
+                     sc.fail("trailing bytes in compressed block");
+                   on_block(block, nrows, cols);
+                 });
 }
 
 }  // namespace
@@ -534,67 +524,27 @@ std::string lz_decompress(std::string_view comp, std::size_t raw_len) {
 std::string compress_trace(std::string_view body) {
   if (is_compressed_trace(body)) return std::string(body);
   Cursor c{body};
-  if (body.size() < 8 || body.substr(0, 4) != kAptMagic)
-    c.fail("bad .apt magic");
-  c.pos = 4;
-  if (c.u8() != kAptVersion) c.fail("unsupported .apt version");
-  const std::uint8_t kind = c.u8();
-  const std::uint8_t flags = c.u8();
-  const std::uint8_t ncols = c.u8();
-  const std::uint64_t aux_len = c.varint();
-  if (aux_len > body.size() - c.pos) c.fail("bad aux length");
-  const std::string_view aux = c.take(aux_len);
-
-  std::string out;
+  const Header h = read_header(c);
+  std::string out = header(kAptVersionCompressed, h.kind,
+                           h.flags | kFlagCompressed, h.ncols, h.aux);
   out.reserve(body.size());
-  out.append(kAptMagic);
-  out.push_back(static_cast<char>(kAptVersionCompressed));
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(flags | kFlagCompressed));
-  out.push_back(static_cast<char>(ncols));
-  put_varint(out, aux.size());
-  out.append(aux);
-
-  std::size_t block = 0;
-  while (!c.done()) {
-    c.block = ++block;
-    const std::size_t block_start = c.pos;
-    if (c.u8() != 'B') {
-      c.pos = block_start;
-      c.fail("bad block marker");
-    }
-    const std::uint64_t nrows = c.varint();
-    const std::size_t cols_start = c.pos;
-    for (std::size_t k = 0; k < ncols; ++k) {
-      c.u8();  // encoding
-      const std::uint64_t len = c.varint();
-      if (len > body.size() - c.pos) c.fail("truncated column payload");
-      c.take(len);
-    }
-    const std::string_view raw =
-        body.substr(cols_start, c.pos - cols_start);
-    if ((flags & kFlagCrc) != 0) {
-      const std::size_t crc_pos = c.pos;
-      const std::uint32_t stored = c.u32le();
-      if (stored != crc32(body.data() + block_start, crc_pos - block_start))
-        throw BinaryParseError(block, block_start, "block CRC mismatch");
-    }
-    const std::string comp = lz_compress(raw);
-    const std::size_t start = out.size();
-    out.push_back('B');
-    put_varint(out, nrows);
-    if (comp.size() < raw.size()) {
-      out.push_back(static_cast<char>(kBlockLz));
-      put_varint(out, raw.size());
-      put_varint(out, comp.size());
-      out.append(comp);
-    } else {  // incompressible: store verbatim rather than grow the file
-      out.push_back(static_cast<char>(kBlockStored));
-      out.append(raw);
-    }
-    if ((flags & kFlagCrc) != 0)
-      put_u32le(out, crc32(out.data() + start, out.size() - start));
-  }
+  for_each_block(c, h,
+                 [&](std::size_t, std::size_t, std::uint64_t nrows,
+                     std::string_view raw, std::size_t, bool) {
+                   const std::string comp = lz_compress(raw);
+                   emit_block(out, nrows, (h.flags & kFlagCrc) != 0,
+                              [&](std::string& o) {
+                                if (comp.size() < raw.size()) {
+                                  o.push_back(static_cast<char>(kBlockLz));
+                                  put_varint(o, raw.size());
+                                  put_varint(o, comp.size());
+                                  o.append(comp);
+                                } else {  // incompressible: store verbatim
+                                  o.push_back(static_cast<char>(kBlockStored));
+                                  o.append(raw);
+                                }
+                              });
+                 });
   return out;
 }
 
@@ -603,74 +553,16 @@ std::string decompress_trace(std::string_view body) {
   if (body.size() < 8 || body.substr(0, 4) != kAptMagic)
     c.fail("bad .apt magic");
   if (!is_compressed_trace(body)) return std::string(body);
-  c.pos = 5;  // past magic + version
-  const std::uint8_t kind = c.u8();
-  const std::uint8_t flags = c.u8();
-  const std::uint8_t ncols = c.u8();
-  const std::uint64_t aux_len = c.varint();
-  if (aux_len > body.size() - c.pos) c.fail("bad aux length");
-  const std::string_view aux = c.take(aux_len);
-
-  std::string out;
+  const Header h = read_header(c);
+  std::string out = header(kAptVersion, h.kind, h.flags & ~kFlagCompressed,
+                           h.ncols, h.aux);
   out.reserve(body.size() * 2);
-  out.append(kAptMagic);
-  out.push_back(static_cast<char>(kAptVersion));
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(flags & ~kFlagCompressed));
-  out.push_back(static_cast<char>(ncols));
-  put_varint(out, aux.size());
-  out.append(aux);
-
-  std::size_t block = 0;
-  while (!c.done()) {
-    c.block = ++block;
-    const std::size_t block_start = c.pos;
-    if (c.u8() != 'B') {
-      c.pos = block_start;
-      c.fail("bad block marker");
-    }
-    const std::uint64_t nrows = c.varint();
-    const std::uint8_t bflag = c.u8();
-    std::string raw;
-    if (bflag == kBlockLz) {
-      const std::uint64_t raw_len = c.varint();
-      const std::uint64_t comp_len = c.varint();
-      if (raw_len > kMaxRawBlockSanity) c.fail("implausible block size");
-      if (comp_len > body.size() - c.pos) c.fail("truncated compressed block");
-      const std::size_t comp_off = c.pos;
-      const std::string_view comp = c.take(comp_len);
-      try {
-        raw = lz_decompress(comp, raw_len);
-      } catch (const std::exception& e) {
-        throw BinaryParseError(block, comp_off,
-                               std::string("bad compressed block: ") +
-                                   e.what());
-      }
-    } else if (bflag == kBlockStored) {
-      const std::size_t cols_start = c.pos;
-      for (std::size_t k = 0; k < ncols; ++k) {
-        c.u8();  // encoding
-        const std::uint64_t len = c.varint();
-        if (len > body.size() - c.pos) c.fail("truncated column payload");
-        c.take(len);
-      }
-      raw = std::string(body.substr(cols_start, c.pos - cols_start));
-    } else {
-      c.fail("unknown block flag");
-    }
-    if ((flags & kFlagCrc) != 0) {
-      const std::size_t crc_pos = c.pos;
-      const std::uint32_t stored = c.u32le();
-      if (stored != crc32(body.data() + block_start, crc_pos - block_start))
-        throw BinaryParseError(block, block_start, "block CRC mismatch");
-    }
-    const std::size_t start = out.size();
-    out.push_back('B');
-    put_varint(out, nrows);
-    out.append(raw);
-    if ((flags & kFlagCrc) != 0)
-      put_u32le(out, crc32(out.data() + start, out.size() - start));
-  }
+  for_each_block(c, h,
+                 [&](std::size_t, std::size_t, std::uint64_t nrows,
+                     std::string_view raw, std::size_t, bool) {
+                   emit_block(out, nrows, (h.flags & kFlagCrc) != 0,
+                              [&](std::string& o) { o.append(raw); });
+                 });
   return out;
 }
 
@@ -689,252 +581,176 @@ BinaryParseError::BinaryParseError(std::size_t block, std::size_t offset,
                                  std::to_string(offset) + ": " + what),
       offset_(offset) {}
 
-// ---- send ------------------------------------------------------------------
+// ---- schema-driven codec ---------------------------------------------------
 
-std::string encode_logical(const std::vector<LogicalSendRecord>& events) {
-  return encode_rows(BinKind::send, {}, events, 5,
-                     [](const LogicalSendRecord& r, std::uint64_t* d) {
-                       d[0] = as_u64(r.src_node);
-                       d[1] = as_u64(r.src_pe);
-                       d[2] = as_u64(r.dst_node);
-                       d[3] = as_u64(r.dst_pe);
-                       d[4] = as_u64(r.msg_bytes);
-                     });
-}
-
-void decode_logical_into(std::string_view body,
-                         std::vector<LogicalSendRecord>& out) {
-  std::string_view aux;
-  decode_numeric_kind(body, BinKind::send, 5, out, aux,
-                      [](const std::uint64_t* d) {
-                        LogicalSendRecord r;
-                        r.src_node = as_int(d[0]);
-                        r.src_pe = as_int(d[1]);
-                        r.dst_node = as_int(d[2]);
-                        r.dst_pe = as_int(d[3]);
-                        r.msg_bytes = static_cast<std::uint32_t>(d[4]);
-                        return r;
-                      });
-}
-
-// ---- papi ------------------------------------------------------------------
-
-std::string encode_papi(const std::vector<PapiSegmentRecord>& rows,
-                        const Config& cfg) {
-  std::string aux;
-  const int n_events = cfg.num_papi_events();
-  aux.push_back(static_cast<char>(n_events));
-  for (int i = 0; i < n_events; ++i)
-    aux.push_back(
-        static_cast<char>(cfg.papi_events[static_cast<std::size_t>(i)]));
-  return encode_rows(BinKind::papi, aux, rows, 12,
-                     [](const PapiSegmentRecord& r, std::uint64_t* d) {
-                       d[0] = as_u64(r.src_node);
-                       d[1] = as_u64(r.src_pe);
-                       d[2] = as_u64(r.dst_node);
-                       d[3] = as_u64(r.dst_pe);
-                       d[4] = as_u64(r.pkt_bytes);
-                       d[5] = as_u64(r.mailbox_id);
-                       d[6] = r.num_sends;
-                       d[7] = r.counters[0];
-                       d[8] = r.counters[1];
-                       d[9] = r.counters[2];
-                       d[10] = r.counters[3];
-                       d[11] = r.is_proc ? 1 : 0;
-                     });
-}
-
-void decode_papi_into(std::string_view body,
-                      std::vector<PapiSegmentRecord>& out,
-                      std::vector<papi::Event>* events_out) {
-  std::string_view aux;
-  decode_numeric_kind(body, BinKind::papi, 12, out, aux,
-                      [](const std::uint64_t* d) {
-                        PapiSegmentRecord r;
-                        r.src_node = as_int(d[0]);
-                        r.src_pe = as_int(d[1]);
-                        r.dst_node = as_int(d[2]);
-                        r.dst_pe = as_int(d[3]);
-                        r.pkt_bytes = static_cast<std::uint32_t>(d[4]);
-                        r.mailbox_id = as_int(d[5]);
-                        r.num_sends = d[6];
-                        r.counters[0] = d[7];
-                        r.counters[1] = d[8];
-                        r.counters[2] = d[9];
-                        r.counters[3] = d[10];
-                        r.is_proc = d[11] != 0;
-                        return r;
-                      });
-  if (events_out != nullptr) {
-    events_out->clear();
-    if (!aux.empty()) {
-      const auto n = static_cast<std::size_t>(
-          static_cast<unsigned char>(aux[0]));
-      for (std::size_t i = 0; i + 1 < aux.size() && i < n; ++i) {
-        const int e = static_cast<unsigned char>(aux[1 + i]);
-        if (e < static_cast<int>(papi::Event::kCount))
-          events_out->push_back(static_cast<papi::Event>(e));
-      }
-    }
+template <class Rec>
+std::string encode_apt(const std::vector<Rec>& rows, const ShardAux& aux) {
+  using K = schema::KindOf<Rec>;
+  using schema::Store;
+  std::string aux_bytes;
+  if constexpr (K::spec.aux == schema::Aux::papi_events) {
+    const std::size_t n = std::min<std::size_t>(aux.papi_events.size(),
+                                                papi::kMaxEventsPerSet);
+    aux_bytes.push_back(static_cast<char>(n));
+    for (std::size_t i = 0; i < n; ++i)
+      aux_bytes.push_back(static_cast<char>(aux.papi_events[i]));
+  } else if constexpr (K::spec.aux == schema::Aux::dropped) {
+    put_varint(aux_bytes, aux.dropped);
   }
-}
-
-// ---- steps -----------------------------------------------------------------
-
-std::string encode_steps(const std::vector<SuperstepRecord>& recs) {
-  return encode_rows(BinKind::steps, {}, recs, 11,
-                     [](const SuperstepRecord& r, std::uint64_t* d) {
-                       d[0] = as_u64(r.pe);
-                       d[1] = r.epoch;
-                       d[2] = r.step;
-                       d[3] = r.t_main;
-                       d[4] = r.t_proc;
-                       d[5] = r.t_comm;
-                       d[6] = r.msgs_sent;
-                       d[7] = r.bytes_sent;
-                       d[8] = r.msgs_handled;
-                       d[9] = r.barrier_arrive;
-                       d[10] = r.barrier_release;
-                     });
-}
-
-void decode_steps_into(std::string_view body,
-                       std::vector<SuperstepRecord>& out) {
-  std::string_view aux;
-  decode_numeric_kind(body, BinKind::steps, 11, out, aux,
-                      [](const std::uint64_t* d) {
-                        SuperstepRecord r;
-                        r.pe = as_int(d[0]);
-                        r.epoch = static_cast<std::uint32_t>(d[1]);
-                        r.step = static_cast<std::uint32_t>(d[2]);
-                        r.t_main = d[3];
-                        r.t_proc = d[4];
-                        r.t_comm = d[5];
-                        r.msgs_sent = d[6];
-                        r.bytes_sent = d[7];
-                        r.msgs_handled = d[8];
-                        r.barrier_arrive = d[9];
-                        r.barrier_release = d[10];
-                        return r;
-                      });
-}
-
-// ---- physical --------------------------------------------------------------
-
-std::string encode_physical(const std::vector<PhysicalRecord>& events) {
-  return encode_rows(BinKind::physical, {}, events, 4,
-                     [](const PhysicalRecord& r, std::uint64_t* d) {
-                       d[0] = as_u64(static_cast<int>(r.type));
-                       d[1] = r.buffer_bytes;
-                       d[2] = as_u64(r.src_pe);
-                       d[3] = as_u64(r.dst_pe);
-                     });
-}
-
-void decode_physical_into(std::string_view body,
-                          std::vector<PhysicalRecord>& out) {
-  std::string_view aux;
-  const std::size_t before = out.size();
-  decode_numeric_kind(body, BinKind::physical, 4, out, aux,
-                      [](const std::uint64_t* d) {
-                        PhysicalRecord r;
-                        r.type = static_cast<convey::SendType>(as_int(d[0]));
-                        r.buffer_bytes = d[1];
-                        r.src_pe = as_int(d[2]);
-                        r.dst_pe = as_int(d[3]);
-                        return r;
-                      });
-  for (std::size_t i = before; i < out.size(); ++i) {
-    const int t = static_cast<int>(out[i].type);
-    if (t < 0 || t > static_cast<int>(convey::SendType::nonblock_progress)) {
-      out.resize(before);
-      throw BinaryParseError(1, 0, "unknown send type value");
-    }
-  }
-}
-
-// ---- check -----------------------------------------------------------------
-
-std::string encode_check(const std::vector<check::Violation>& v,
-                         std::uint64_t dropped) {
-  std::string aux;
-  put_varint(aux, dropped);
-  std::string out = header(BinKind::check, 8, aux);
-  std::vector<std::uint64_t> num[6];
-  std::vector<std::string_view> callsites;
-  std::vector<std::string_view> details;
-  for (std::size_t base = 0; base < v.size(); base += kRowsPerBlock) {
-    const std::size_t n = std::min(kRowsPerBlock, v.size() - base);
-    for (auto& c : num) c.clear();
-    callsites.clear();
-    details.clear();
+  std::string out = header(K::spec.bin, schema::apt_columns<K>(), aux_bytes);
+  // Each block's rows are gathered in one row-major pass into per-column
+  // slices of `nums` (dictionary columns into `strs`), then each column
+  // is encoded.
+  constexpr std::size_t kCols = schema::apt_columns<K>();
+  const std::size_t cap = std::min(rows.size(), kRowsPerBlock);
+  std::vector<std::uint64_t> nums(kCols * cap);
+  std::array<std::vector<std::string_view>, kCols> strs;
+  for (std::size_t base = 0; base < rows.size(); base += kRowsPerBlock) {
+    const std::size_t n = std::min(kRowsPerBlock, rows.size() - base);
+    for (auto& v : strs) v.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      const check::Violation& x = v[base + i];
-      num[0].push_back(as_u64(static_cast<int>(x.kind)));
-      num[1].push_back(as_u64(x.pe));
-      num[2].push_back(as_u64(x.other_pe));
-      num[3].push_back(x.superstep);
-      num[4].push_back(x.offset);
-      num[5].push_back(x.bytes);
-      callsites.push_back(x.callsite);
-      details.push_back(x.detail);
+      const Rec& r = rows[base + i];
+      std::uint64_t* num = nums.data() + i;
+      std::size_t k = 0;
+      schema::for_each_column<K>([&](const auto& c, auto) {
+        using C = std::decay_t<decltype(c)>;
+        const auto& v = r.*C::member;
+        if constexpr (C::store == Store::dict)
+          strs[k++].push_back(v);
+        else if constexpr (C::store == Store::counters)
+          for (const std::uint64_t x : v) num[cap * k++] = x;
+        else if constexpr (C::store == Store::enumeration)
+          num[cap * k++] = C::W::to_u64(v);
+        else
+          num[cap * k++] = static_cast<std::uint64_t>(v);
+      });
     }
-    std::vector<EncodedColumn> cols;
-    cols.reserve(8);
-    for (const auto& c : num) cols.push_back({kEncDeltaRle, encode_numeric(c)});
-    cols.push_back({kEncDict, encode_dict(callsites)});
-    cols.push_back({kEncDict, encode_dict(details)});
-    emit_block(out, n, cols);
+    emit_block(out, n, true, [&](std::string& o) {
+      std::size_t k = 0;
+      schema::for_each_column<K>([&](const auto& c, auto) {
+        if constexpr (std::decay_t<decltype(c)>::store == Store::dict) {
+          put_column(o, kEncDict, encode_dict(strs[k++]));
+        } else {
+          for (std::size_t j = 0; j < c.apt_cols; ++j, ++k)
+            put_column(o, kEncDeltaRle,
+                       encode_numeric({nums.data() + cap * k, n}));
+        }
+      });
+    });
   }
   return out;
 }
 
-void decode_check_into(std::string_view body,
-                       std::vector<check::Violation>& out,
-                       std::uint64_t& dropped) {
-  std::string_view aux;
-  std::vector<std::uint64_t> num[6];
-  std::vector<std::string> callsites;
-  std::vector<std::string> details;
+template <class Rec>
+void decode_apt(std::string_view body, std::vector<Rec>& out,
+                ShardAux* aux) {
+  using K = schema::KindOf<Rec>;
+  using schema::Store;
+  constexpr std::size_t kCols = schema::apt_columns<K>();
+  std::string_view aux_bytes;
   decode_file(
-      body, BinKind::check, 8, aux,
+      body, K::spec.bin, kCols, aux_bytes,
       [&](std::size_t block, std::uint64_t nrows,
           const std::vector<RawColumn>& cols) {
-        for (std::size_t k = 0; k < 6; ++k) {
-          Cursor cc{cols[k].payload, 0, cols[k].abs_offset, block};
-          if (cols[k].encoding != kEncDeltaRle)
-            cc.fail("unexpected column encoding");
-          decode_numeric(cc, nrows, num[k]);
+        // Columns decode straight into the block's rows; the rows only
+        // stay once every column of the block decoded.
+        const std::size_t base = out.size();
+        out.resize(base + nrows);
+        Rec* rows = out.data() + base;
+        std::uint64_t bad_row = nrows;  // first out-of-range enum value
+        std::size_t bad_col = 0;
+        std::string_view bad_what;
+        std::size_t k = 0;
+        const auto column = [&](std::uint8_t encoding) {
+          const RawColumn& rc = cols[k++];
+          Cursor cc{rc.payload, 0, rc.abs_offset, block};
+          if (rc.encoding != encoding) cc.fail("unexpected column encoding");
+          return cc;
+        };
+        try {
+          schema::for_each_column<K>([&](const auto& c, auto) {
+            using C = std::decay_t<decltype(c)>;
+            if constexpr (C::store == Store::dict) {
+              decode_dict(column(kEncDict), nrows,
+                          [&](std::uint64_t i, std::string_view v) {
+                            rows[i].*C::member = std::string(v);
+                          });
+            } else if constexpr (C::store == Store::counters) {
+              for (std::size_t slot = 0; slot < papi::kMaxEventsPerSet;
+                   ++slot)
+                decode_numeric(column(kEncDeltaRle), nrows,
+                               [&](std::uint64_t i, std::uint64_t v) {
+                                 (rows[i].*C::member)[slot] = v;
+                               });
+            } else if constexpr (C::store == Store::enumeration) {
+              const std::size_t col = k;
+              decode_numeric(column(kEncDeltaRle), nrows,
+                             [&](std::uint64_t i, std::uint64_t v) {
+                               if (!C::W::from_u64(v, rows[i].*C::member) &&
+                                   i < bad_row) {
+                                 bad_row = i;
+                                 bad_col = col;
+                                 bad_what = C::W::what;
+                               }
+                             });
+            } else {
+              decode_numeric(column(kEncDeltaRle), nrows,
+                             [&](std::uint64_t i, std::uint64_t v) {
+                               rows[i].*C::member =
+                                   static_cast<typename C::Type>(v);
+                             });
+            }
+          });
+        } catch (...) {
+          out.resize(base);
+          throw;
         }
-        for (std::size_t k = 6; k < 8; ++k) {
-          Cursor cc{cols[k].payload, 0, cols[k].abs_offset, block};
-          if (cols[k].encoding != kEncDict)
-            cc.fail("unexpected column encoding");
-          decode_dict(cc, nrows, k == 6 ? callsites : details);
-        }
-        out.reserve(out.size() + nrows);
-        for (std::uint64_t i = 0; i < nrows; ++i) {
-          check::Violation x;
-          const int kind_val = as_int(num[0][i]);
-          if (kind_val < 0 ||
-              kind_val > static_cast<int>(check::Violation::Kind::ApiMisuse)) {
-            Cursor cc{cols[0].payload, 0, cols[0].abs_offset, block};
-            cc.fail("unknown violation kind value");
-          }
-          x.kind = static_cast<check::Violation::Kind>(kind_val);
-          x.pe = as_int(num[1][i]);
-          x.other_pe = as_int(num[2][i]);
-          x.superstep = static_cast<std::uint32_t>(num[3][i]);
-          x.offset = num[4][i];
-          x.bytes = num[5][i];
-          x.callsite = std::move(callsites[i]);
-          x.detail = std::move(details[i]);
-          out.push_back(std::move(x));
+        if (bad_row < nrows) {
+          out.resize(base + bad_row);
+          Cursor{cols[bad_col].payload, 0, cols[bad_col].abs_offset, block}
+              .fail(std::string(bad_what) + " value");
         }
       });
-  Cursor ac{aux};
-  dropped = ac.varint();
+  if constexpr (K::spec.aux == schema::Aux::papi_events) {
+    if (aux != nullptr) {
+      aux->papi_events.clear();
+      if (!aux_bytes.empty()) {
+        const auto n = static_cast<std::size_t>(
+            static_cast<unsigned char>(aux_bytes[0]));
+        for (std::size_t i = 0; i + 1 < aux_bytes.size() && i < n; ++i) {
+          const int e = static_cast<unsigned char>(aux_bytes[1 + i]);
+          if (e < static_cast<int>(papi::Event::kCount))
+            aux->papi_events.push_back(static_cast<papi::Event>(e));
+        }
+      }
+    }
+  } else if constexpr (K::spec.aux == schema::Aux::dropped) {
+    Cursor ac{aux_bytes};
+    const std::uint64_t dropped = ac.varint();
+    if (aux != nullptr) aux->dropped = dropped;
+  }
 }
+
+template std::string encode_apt(const std::vector<LogicalSendRecord>&,
+                                const ShardAux&);
+template std::string encode_apt(const std::vector<PapiSegmentRecord>&,
+                                const ShardAux&);
+template std::string encode_apt(const std::vector<SuperstepRecord>&,
+                                const ShardAux&);
+template std::string encode_apt(const std::vector<check::Violation>&,
+                                const ShardAux&);
+template std::string encode_apt(const std::vector<PhysicalRecord>&,
+                                const ShardAux&);
+template void decode_apt(std::string_view, std::vector<LogicalSendRecord>&,
+                         ShardAux*);
+template void decode_apt(std::string_view, std::vector<PapiSegmentRecord>&,
+                         ShardAux*);
+template void decode_apt(std::string_view, std::vector<SuperstepRecord>&,
+                         ShardAux*);
+template void decode_apt(std::string_view, std::vector<check::Violation>&,
+                         ShardAux*);
+template void decode_apt(std::string_view, std::vector<PhysicalRecord>&,
+                         ShardAux*);
 
 // ---- metric samples --------------------------------------------------------
 
@@ -958,9 +774,10 @@ std::string encode_metric_samples(const metrics::SampleRing& r) {
       for (std::size_t k = 0; k < per_row; ++k)
         values.push_back(static_cast<std::uint64_t>(v.row[k]));
     }
-    emit_block(out, n,
-               {{kEncDeltaRle, encode_numeric(times)},
-                {kEncDeltaRle, encode_numeric(values)}});
+    emit_block(out, n, true, [&](std::string& o) {
+      put_column(o, kEncDeltaRle, encode_numeric(times));
+      put_column(o, kEncDeltaRle, encode_numeric(values));
+    });
   }
   return out;
 }
@@ -977,7 +794,7 @@ void decode_metric_samples_into(std::string_view body, MetricSamples& out) {
           const std::vector<RawColumn>& cols) {
         if (!have_aux) {
           Cursor ac{aux};
-          out.num_pes = as_int(ac.varint());
+          out.num_pes = static_cast<int>(ac.varint());
           out.num_series = ac.varint();
           per_row = static_cast<std::uint64_t>(out.num_pes) * out.num_series;
           have_aux = true;
@@ -997,7 +814,7 @@ void decode_metric_samples_into(std::string_view body, MetricSamples& out) {
       });
   if (!have_aux) {  // zero-block file: still surface the shape
     Cursor ac{aux};
-    out.num_pes = as_int(ac.varint());
+    out.num_pes = static_cast<int>(ac.varint());
     out.num_series = ac.varint();
   }
 }

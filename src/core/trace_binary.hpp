@@ -28,9 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#include "check/checker.hpp"
-#include "core/config.hpp"
-#include "core/records.hpp"
 #include "core/trace_io.hpp"
 
 namespace ap::metrics {
@@ -107,44 +104,29 @@ class BinaryParseError : public TraceParseError {
   std::size_t offset_;
 };
 
-// ---- encoders --------------------------------------------------------------
-// Each returns a complete .apt file body (header + blocks + CRCs).
+// ---- schema-driven .apt codec --------------------------------------------
+// `Rec` is one of the five two-format record types (see write_csv in
+// core/trace_io.hpp); the columns come from core/trace_schema.hpp.
 
-[[nodiscard]] std::string encode_logical(
-    const std::vector<LogicalSendRecord>& events);
-/// The configured PAPI event ids ride in the header aux bytes, so a
-/// decoder (and `actorprof export --csv`) can rebuild the CSV header line.
-[[nodiscard]] std::string encode_papi(
-    const std::vector<PapiSegmentRecord>& rows, const Config& cfg);
-[[nodiscard]] std::string encode_steps(
-    const std::vector<SuperstepRecord>& recs);
-[[nodiscard]] std::string encode_physical(
-    const std::vector<PhysicalRecord>& events);
-/// `dropped` (the "# dropped=<n>" CSV marker) rides in the header aux.
-[[nodiscard]] std::string encode_check(
-    const std::vector<check::Violation>& v, std::uint64_t dropped);
+/// A complete .apt file body (header + blocks + CRCs). `aux` rides in the
+/// header aux bytes: the PAPI event ids (so a decoder, and `actorprof
+/// export --csv`, can rebuild the CSV header line) or check's `dropped`.
+template <class Rec>
+[[nodiscard]] std::string encode_apt(const std::vector<Rec>& rows,
+                                     const ShardAux& aux = {});
+/// Incremental: rows append to `out` block by block, so on a throw the
+/// caller keeps the verified prefix (tolerant-load semantics). An
+/// out-of-range enum value fails its block at that row, keeping the rows
+/// before it. `aux`, when non-null, receives the header aux (PAPI events
+/// outside papi::Event are dropped).
+template <class Rec>
+void decode_apt(std::string_view body, std::vector<Rec>& out,
+                ShardAux* aux = nullptr);
+
 /// The live-metrics sample ring: one row per snapshot, a timestamp column
 /// plus one flattened PE-major values column (num_pes * num_series each).
+/// Binary only, so it keeps its own codec.
 [[nodiscard]] std::string encode_metric_samples(const metrics::SampleRing& r);
-
-// ---- decoders --------------------------------------------------------------
-// Incremental: rows append to `out` block by block, so on a throw the
-// caller keeps the verified prefix (tolerant-load semantics).
-
-void decode_logical_into(std::string_view body,
-                         std::vector<LogicalSendRecord>& out);
-/// `events_out`, when non-null, receives the PAPI event ids recorded in
-/// the header aux (papi::Event values, in configuration order).
-void decode_papi_into(std::string_view body,
-                      std::vector<PapiSegmentRecord>& out,
-                      std::vector<papi::Event>* events_out = nullptr);
-void decode_steps_into(std::string_view body,
-                       std::vector<SuperstepRecord>& out);
-void decode_physical_into(std::string_view body,
-                          std::vector<PhysicalRecord>& out);
-void decode_check_into(std::string_view body,
-                       std::vector<check::Violation>& out,
-                       std::uint64_t& dropped);
 
 /// Decoded metric-sample rows (the SampleRing's retained snapshots).
 struct MetricSamples {

@@ -1,8 +1,12 @@
 // Writers and parsers for ActorProf's trace files (paper §III):
 //   PEi_send.csv  — logical trace, one line per application send
 //   PEi_PAPI.csv  — PAPI segment rows
+//   PEi_steps.csv — superstep rows (Config::supersteps)
 //   overall.txt   — Absolute/Relative TCOMM_PROFILING lines per PE
 //   physical.txt  — network transfers of all PEs
+//   check.csv     — BSP conformance violations (Config::check)
+// Every kind but overall.txt also has an .apt twin (core/trace_binary.hpp);
+// the columns of both forms come from one schema (core/trace_schema.hpp).
 // The visualization CLI consumes these files only, so it also works on
 // traces produced by other builds of the tool.
 #pragma once
@@ -10,6 +14,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/checker.hpp"
@@ -48,43 +53,50 @@ class TraceParseError : public std::runtime_error {
   std::size_t line_no_;
 };
 
-// ---- writers ---------------------------------------------------------------
-// Every writer exists in two forms: the Sink form is the real
-// implementation (one contiguous buffered build, see core/sink.hpp); the
-// std::ostream form delegates to it and is kept for existing callers.
+/// Values a shard carries beside its rows: in the .apt header aux bytes,
+/// and in the CSV header and comment lines. Each kind uses at most one
+/// field (core/trace_schema.hpp).
+struct ShardAux {
+  /// PE<i>_PAPI: the configured events, in order. They size the CSV
+  /// counter group and name its header fields.
+  std::vector<papi::Event> papi_events;
+  /// check: violations past the checker's cap (the "# dropped=<n>" line).
+  std::uint64_t dropped = 0;
+};
 
-void write_logical(Sink& out, const std::vector<LogicalSendRecord>& events);
-void write_logical(std::ostream& os,
-                   const std::vector<LogicalSendRecord>& events);
-void write_papi(Sink& out, const std::vector<PapiSegmentRecord>& rows,
-                const Config& cfg);
-void write_papi(std::ostream& os, const std::vector<PapiSegmentRecord>& rows,
-                const Config& cfg);
+/// The PAPI aux of a run: its first num_papi_events() configured events.
+[[nodiscard]] ShardAux papi_aux(const Config& cfg);
+
+// ---- schema-driven CSV codec ------------------------------------------------
+// `Rec` is one of the five two-format record types: LogicalSendRecord
+// (PE<i>_send.csv), PapiSegmentRecord (PE<i>_PAPI.csv), SuperstepRecord
+// (PE<i>_steps.csv), check::Violation (check.csv), PhysicalRecord
+// (physical.txt). Their .apt twins are encode_apt/decode_apt
+// (core/trace_binary.hpp).
+
+/// Header comment line(s), then one line per row.
+template <class Rec>
+void write_csv(Sink& out, const std::vector<Rec>& rows,
+               const ShardAux& aux = {});
+/// Appends rows to `out` as they parse, so when a truncated or corrupt
+/// body throws mid-way the caller keeps the valid prefix (what
+/// `tolerate_partial` loading renders). Skips blank lines and '#'
+/// comments; fills `aux` from the comment lines that carry it; throws
+/// TraceParseError with the 1-based line number on malformed input.
+template <class Rec>
+void parse_csv(std::string_view body, std::vector<Rec>& out,
+               ShardAux* aux = nullptr);
+
+// ---- overall.txt (text only) ------------------------------------------------
+
 void write_overall(Sink& out, const std::vector<OverallRecord>& recs);
-void write_overall(std::ostream& os, const std::vector<OverallRecord>& recs);
 /// "SelfOverhead ..." lines appended to overall.txt when Config::metrics is
 /// on: the measured wall-rdtsc cost of ActorProf's own instrumentation,
-/// per PE and per category. parse_overall skips them (they are not
+/// per PE and per category. parse_overall_into skips them (they are not
 /// "Absolute" lines), so existing consumers are unaffected.
 void write_self_overhead(Sink& out, const metrics::OverheadMeter& m);
-void write_self_overhead(std::ostream& os, const metrics::OverheadMeter& m);
-void write_physical(Sink& out, const std::vector<PhysicalRecord>& events);
-void write_physical(std::ostream& os,
-                    const std::vector<PhysicalRecord>& events);
-/// Superstep rows (PEi_steps.csv, Config::supersteps). Unlike overall.txt,
-/// a killed PE's rows are NOT suppressed: every row was closed at a
-/// collective it actually reached, so the prefix is consistent and is what
-/// post-mortem analysis wants.
-void write_steps(Sink& out, const std::vector<SuperstepRecord>& recs);
-void write_steps(std::ostream& os, const std::vector<SuperstepRecord>& recs);
-/// BSP conformance report (check.csv, Config::check). Written even when
-/// empty — a zero-row check.csv is the evidence a checked run was clean.
-/// `dropped` (violations past the checker's cap) rides in a parsable
-/// "# dropped=<n>" comment.
-void write_check(Sink& out, const std::vector<check::Violation>& v,
-                 std::uint64_t dropped);
-void write_check(std::ostream& os, const std::vector<check::Violation>& v,
-                 std::uint64_t dropped);
+/// Same line/error semantics as parse_csv.
+void parse_overall_into(std::string_view body, std::vector<OverallRecord>& out);
 
 /// Write every enabled trace of `prof` into cfg.trace_dir (created if
 /// missing). Called by Profiler::write_traces().
@@ -95,30 +107,11 @@ void write_check(std::ostream& os, const std::vector<check::Violation>& v,
 /// (file list, record counts, FNV-1a checksums, dead PEs) is written last.
 /// Failures are aggregated: one std::runtime_error naming every file that
 /// could not be written, thrown after all writable files landed.
+/// Superstep rows of a killed PE are kept (each closed at a collective it
+/// actually reached, so the prefix is what post-mortem analysis wants);
+/// its overall.txt lines are not. check.csv is written even when empty —
+/// a zero-row check file is the evidence a checked run was clean.
 void write_all(const Profiler& prof, const Config& cfg);
-
-// ---- parsers ---------------------------------------------------------------
-// All parsers skip blank lines and '#' comments and throw TraceParseError
-// (a std::runtime_error) with a 1-based line number on malformed input.
-
-std::vector<LogicalSendRecord> parse_logical(std::istream& is);
-std::vector<PapiSegmentRecord> parse_papi(std::istream& is);
-std::vector<OverallRecord> parse_overall(std::istream& is);
-std::vector<PhysicalRecord> parse_physical(std::istream& is);
-std::vector<SuperstepRecord> parse_steps(std::istream& is);
-
-// Incremental variants: records are appended to `out` as they parse, so
-// when a truncated/corrupt file throws mid-way the caller keeps the valid
-// prefix (what `tolerate_partial` loading renders).
-void parse_logical_into(std::istream& is, std::vector<LogicalSendRecord>& out);
-void parse_papi_into(std::istream& is, std::vector<PapiSegmentRecord>& out);
-void parse_overall_into(std::istream& is, std::vector<OverallRecord>& out);
-void parse_physical_into(std::istream& is, std::vector<PhysicalRecord>& out);
-void parse_steps_into(std::istream& is, std::vector<SuperstepRecord>& out);
-/// Parses check.csv rows into `out` and the "# dropped=<n>" marker into
-/// `dropped` (left untouched when the marker is absent).
-void parse_check_into(std::istream& is, std::vector<check::Violation>& out,
-                      std::uint64_t& dropped);
 
 /// One MANIFEST.txt entry, as written by write_all.
 struct ManifestEntry {
@@ -133,6 +126,13 @@ struct Manifest {
   std::vector<int> dead_pes;
 };
 Manifest parse_manifest(std::istream& is);
+/// Read dir/MANIFEST.txt into `out`. Returns false when there is none;
+/// throws TraceParseError when it does not parse.
+bool read_manifest(const std::filesystem::path& dir, Manifest& out);
+/// The one MANIFEST.txt writer (write_all, `export`, `compact`).
+[[nodiscard]] std::string manifest_text(int num_pes,
+                                        const std::vector<ManifestEntry>& files,
+                                        const std::vector<int>& dead_pes);
 
 /// FNV-1a 64-bit over a byte buffer (the MANIFEST checksum).
 std::uint64_t fnv1a64(const void* data, std::size_t n);
@@ -170,10 +170,6 @@ struct TraceDir {
   std::vector<FileIssue> issues;
   /// PEs the MANIFEST marks as killed mid-run (fault injection).
   std::vector<int> dead_pes;
-  /// PAPI event ids recovered from a binary PEi_PAPI.apt header (empty for
-  /// CSV traces) — what `actorprof export --csv` uses to rebuild the
-  /// PEi_PAPI.csv header line.
-  std::vector<papi::Event> papi_events;
 
   /// Aggregate the logical events into a src-by-dst matrix.
   [[nodiscard]] CommMatrix logical_matrix() const;
@@ -191,6 +187,62 @@ struct TraceDir {
 TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes);
 TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes,
                         const LoadOptions& opts);
+
+// ---- the kind registry -----------------------------------------------------
+// Maps trace file names (either spelling: "PE3_send.csv" / "PE3_send.apt",
+// "physical.txt" / "physical.apt", ...) to their record kind and TraceDir
+// member. Every consumer that reads shards by name goes through it.
+
+/// Every trace file name of a `num_pes` trace, in write_all's order, in
+/// the text spelling (binary_file_name() gives the .apt sibling):
+/// PE<i>_send.csv..., PE<i>_PAPI.csv..., PE<i>_steps.csv..., overall.txt,
+/// check.csv, physical.txt.
+[[nodiscard]] std::vector<std::string> trace_file_names(int num_pes);
+
+/// The text spelling of a trace file name ("PE3_send.apt" ->
+/// "PE3_send.csv", "physical.apt" -> "physical.txt"); other names are
+/// returned unchanged.
+[[nodiscard]] std::string text_file_name(std::string_view name);
+
+/// How read_shard splices a body's rows into the TraceDir.
+enum class Splice {
+  /// The rows replace the member's rows; a damaged body changes nothing.
+  replace,
+  /// The rows follow the member's rows; a damaged body changes nothing.
+  append,
+  /// Like replace, but on damage the rows decoded before it stay (the
+  /// verified prefix tolerant loading renders).
+  prefix,
+};
+
+/// Decode one trace file — CSV/text or .apt, sniffed from the content —
+/// into the TraceDir member its name selects. Check files also set
+/// check_recorded/check_dropped. Throws TraceParseError on a damaged body, and
+/// std::runtime_error for a name that is no trace file or a PE outside
+/// the TraceDir's per-PE tables.
+void read_shard(TraceDir& t, std::string_view name, std::string_view body,
+                Splice how);
+
+/// A shard re-encoded by recode().
+struct Recoded {
+  std::string body;
+  std::uint64_t records = 0;
+};
+
+/// Decode a trace file body (either container) and encode its rows in
+/// `to`: what `export --csv` (to csv) and `compact` (to binary, dense
+/// 4096-row blocks) run on every shard. overall.txt has only the text
+/// form. Throws like read_shard.
+[[nodiscard]] Recoded recode(std::string_view name, std::string_view body,
+                             TraceFormat to);
+
+/// Write `body` to dir/name via a ".tmp" sibling + atomic rename, so a
+/// reader (or a kill) never observes a half-written file. Returns false
+/// (after cleaning up the tmp) when any step fails.
+bool write_file_atomic(const std::filesystem::path& dir,
+                       const std::string& name, std::string_view body);
+/// Read a whole file into `out`; false when it cannot be opened.
+bool read_file(const std::filesystem::path& p, std::string& out);
 
 /// Read the PE count from the trace dir's MANIFEST.txt. Returns 0 when the
 /// manifest is missing or unparsable — callers fall back to --num-pes.

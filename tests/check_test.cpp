@@ -27,6 +27,7 @@
 #include "graph/rmat.hpp"
 #include "runtime/scheduler.hpp"
 #include "shmem/shmem.hpp"
+#include "tmpdir.hpp"
 
 namespace {
 
@@ -300,13 +301,14 @@ TEST(CheckReport, JsonIsByteStable) {
 
 TEST(CheckReport, CheckCsvRoundTrips) {
   const auto v = sample_violations();
-  std::ostringstream os;
-  prof::io::write_check(os, v, 5);
-  std::istringstream is(os.str());
+  prof::io::ShardAux aux;
+  aux.dropped = 5;
+  prof::io::Sink os;
+  prof::io::write_csv(os, v, aux);
   std::vector<Violation> back;
-  std::uint64_t dropped = 0;
-  prof::io::parse_check_into(is, back, dropped);
-  EXPECT_EQ(dropped, 5u);
+  prof::io::ShardAux back_aux;
+  prof::io::parse_csv(os.str(), back, &back_aux);
+  EXPECT_EQ(back_aux.dropped, 5u);
   ASSERT_EQ(back.size(), v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_EQ(back[i].kind, v[i].kind) << i;
@@ -321,10 +323,8 @@ TEST(CheckReport, CheckCsvRoundTrips) {
 }
 
 TEST(CheckReport, ParseRejectsUnknownKind) {
-  std::istringstream is("bogus_kind, 0, -1, 0, 0, 0, , x\n");
   std::vector<Violation> out;
-  std::uint64_t dropped = 0;
-  EXPECT_THROW(prof::io::parse_check_into(is, out, dropped),
+  EXPECT_THROW(prof::io::parse_csv("bogus_kind, 0, -1, 0, 0, 0, , x\n", out),
                prof::io::TraceParseError);
 }
 
@@ -538,8 +538,9 @@ int exit_code(int system_rc) {
 }
 
 TEST(CheckCli, CleanTraceExitsZeroViolatingExitsFour) {
-  const fs::path clean_dir = fs::path(::testing::TempDir()) / "check_clean";
-  const fs::path bad_dir = fs::path(::testing::TempDir()) / "check_bad";
+  const ap::test::TestDir tdir;
+  const fs::path clean_dir = tdir.path() / "check_clean";
+  const fs::path bad_dir = tdir.path() / "check_bad";
   fs::remove_all(clean_dir);
   fs::remove_all(bad_dir);
 
@@ -568,7 +569,7 @@ TEST(CheckCli, CleanTraceExitsZeroViolatingExitsFour) {
     prof.write_traces();
   }
 
-  const fs::path out = fs::path(::testing::TempDir()) / "check_cli_out.txt";
+  const fs::path out = tdir.path() / "check_cli_out.txt";
   EXPECT_EQ(exit_code(run_cli("check " + clean_dir.string(), out)), 0)
       << slurp(out);
   EXPECT_NE(slurp(out).find("no BSP conformance violations"),
@@ -587,7 +588,7 @@ TEST(CheckCli, CleanTraceExitsZeroViolatingExitsFour) {
       << json;
 
   // A directory that was never checked is an error, not a clean pass.
-  const fs::path empty_dir = fs::path(::testing::TempDir()) / "check_none";
+  const fs::path empty_dir = tdir.path() / "check_none";
   fs::create_directories(empty_dir);
   EXPECT_EQ(exit_code(run_cli("check " + empty_dir.string(), out)), 1);
   EXPECT_NE(slurp(out).find("ACTORPROF_CHECK"), std::string::npos)
@@ -598,7 +599,8 @@ TEST(CheckCli, CleanTraceExitsZeroViolatingExitsFour) {
 // ---------------------------------------------- trace round trip (loader)
 
 TEST(CheckTrace, LoadDistinguishesCleanFromUnchecked) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "check_load";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "check_load";
   fs::remove_all(dir);
   prof::Config cfg = check_config();
   cfg.trace_dir = dir;
@@ -612,7 +614,7 @@ TEST(CheckTrace, LoadDistinguishesCleanFromUnchecked) {
   EXPECT_TRUE(t.check.empty());
   EXPECT_EQ(t.check_dropped, 0u);
 
-  const fs::path plain = fs::path(::testing::TempDir()) / "check_load_off";
+  const fs::path plain = tdir.path() / "check_load_off";
   fs::remove_all(plain);
   prof::Config off;
   off.overall = true;

@@ -17,6 +17,7 @@
 #include "graph/rmat.hpp"
 #include "papi/papi.hpp"
 #include "shmem/shmem.hpp"
+#include "tmpdir.hpp"
 
 namespace {
 
@@ -33,8 +34,9 @@ ap::rt::LaunchConfig cfg_of(int pes, int ppn = 0) {
 }
 
 Config all_on() {
+  static const ap::test::TestDir tdir;  // per process, removed at exit
   Config c = Config::all_enabled();
-  c.trace_dir = ::testing::TempDir();
+  c.trace_dir = tdir.path();
   return c;
 }
 
@@ -450,9 +452,11 @@ TEST(Profiler, MaxEventsCapBoundsMemoryButNotMatrix) {
 
 TEST(TraceIo, LogicalRoundTrip) {
   std::vector<LogicalSendRecord> evs{{0, 1, 1, 3, 8}, {0, 0, 0, 1, 16}};
-  std::stringstream ss;
-  io::write_logical(ss, evs);
-  EXPECT_EQ(io::parse_logical(ss), evs);
+  io::Sink out;
+  io::write_csv(out, evs);
+  std::vector<LogicalSendRecord> back;
+  io::parse_csv(out.str(), back);
+  EXPECT_EQ(back, evs);
 }
 
 TEST(TraceIo, PhysicalRoundTrip) {
@@ -460,18 +464,21 @@ TEST(TraceIo, PhysicalRoundTrip) {
       {ap::convey::SendType::local_send, 4096, 0, 1},
       {ap::convey::SendType::nonblock_send, 2048, 1, 5},
       {ap::convey::SendType::nonblock_progress, 8, 1, 5}};
-  std::stringstream ss;
-  io::write_physical(ss, evs);
-  EXPECT_EQ(io::parse_physical(ss), evs);
+  io::Sink out;
+  io::write_csv(out, evs);
+  std::vector<PhysicalRecord> back;
+  io::parse_csv(out.str(), back);
+  EXPECT_EQ(back, evs);
 }
 
 TEST(TraceIo, OverallRoundTrip) {
   std::vector<OverallRecord> recs;
   recs.push_back(OverallRecord{0, 100, 300, 1000});
   recs.push_back(OverallRecord{1, 50, 150, 400});
-  std::stringstream ss;
-  io::write_overall(ss, recs);
-  const auto parsed = io::parse_overall(ss);
+  io::Sink out;
+  io::write_overall(out, recs);
+  std::vector<OverallRecord> parsed;
+  io::parse_overall_into(out.str(), parsed);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0], recs[0]);
   EXPECT_EQ(parsed[1], recs[1]);
@@ -483,26 +490,27 @@ TEST(TraceIo, PapiRoundTrip) {
   std::vector<PapiSegmentRecord> rows(2);
   rows[0] = {0, 1, 0, 2, 8, 0, 42, {1000, 500, 0, 0}, false};
   rows[1] = {0, 1, 0, 1, 8, 1, 13, {99, 7, 0, 0}, true};
-  std::stringstream ss;
-  io::write_papi(ss, rows, cfg);
-  const auto parsed = io::parse_papi(ss);
+  io::Sink out;
+  io::write_csv(out, rows, io::papi_aux(cfg));
+  std::vector<PapiSegmentRecord> parsed;
+  io::parse_csv(out.str(), parsed);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0], rows[0]);
   EXPECT_EQ(parsed[1], rows[1]);
 }
 
 TEST(TraceIo, MalformedInputThrowsWithLineNumber) {
-  std::stringstream ss("1,2,3\n");
+  std::vector<LogicalSendRecord> logical;
   try {
-    io::parse_logical(ss);
+    io::parse_csv("1,2,3\n", logical);
     FAIL() << "expected parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos);
   }
-  std::stringstream bad_phys("weird_send,1,0,0\n");
-  EXPECT_THROW(io::parse_physical(bad_phys), std::runtime_error);
-  std::stringstream bad_num("a,b,c,d,e\n");
-  EXPECT_THROW(io::parse_logical(bad_num), std::runtime_error);
+  std::vector<PhysicalRecord> physical;
+  EXPECT_THROW(io::parse_csv("weird_send,1,0,0\n", physical),
+               std::runtime_error);
+  EXPECT_THROW(io::parse_csv("a,b,c,d,e\n", logical), std::runtime_error);
 }
 
 // Shards are mapped to PE indexes by *constructing* each expected name
@@ -511,12 +519,15 @@ TEST(TraceIo, MalformedInputThrowsWithLineNumber) {
 // assumption would misattribute shards. Sparse 1005-PE fixture: only a
 // handful of shards exist, each carrying a destination that names its PE.
 TEST(TraceIo, FourDigitShardNamesMapToTheRightPes) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "actorprof_4digit";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "actorprof_4digit";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto write_shard = [&](int pe, int dst) {
+    io::Sink out;
+    io::write_csv(out, std::vector<LogicalSendRecord>{{0, pe, 0, dst, 8}});
     std::ofstream os(dir / io::logical_file_name(pe));
-    io::write_logical(os, {{0, pe, 0, dst, 8}});
+    os << out.str();
   };
   write_shard(2, 3);
   write_shard(10, 4);     // "PE10" sorts before "PE2"
@@ -551,8 +562,9 @@ TEST(TraceIo, FourDigitShardNamesMapToTheRightPes) {
 }
 
 TEST(TraceIo, FullDirectoryRoundTrip) {
+  const ap::test::TestDir tdir;
   const fs::path dir =
-      fs::path(::testing::TempDir()) / "actorprof_trace_roundtrip";
+      tdir.path() / "actorprof_trace_roundtrip";
   fs::remove_all(dir);
   Config c = Config::all_enabled();
   c.trace_dir = dir;
@@ -602,7 +614,8 @@ void tiny_profiled_run() {
 }
 
 TEST(TraceIoCrashSafe, UnwritableTraceDirThrowsNamedError) {
-  const fs::path blocker = fs::path(::testing::TempDir()) / "ts_blocker";
+  const ap::test::TestDir tdir;
+  const fs::path blocker = tdir.path() / "ts_blocker";
   fs::remove_all(blocker);
   { std::ofstream(blocker) << "not a directory"; }
   Config c = Config::all_enabled();
@@ -621,7 +634,8 @@ TEST(TraceIoCrashSafe, UnwritableTraceDirThrowsNamedError) {
 }
 
 TEST(TraceIoCrashSafe, PerFileFailuresAreAggregatedIntoOneError) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "ts_aggfail";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "ts_aggfail";
   fs::remove_all(dir);
   fs::create_directories(dir);
   // A directory squatting on the .tmp name makes that one file unwritable;
@@ -647,7 +661,8 @@ TEST(TraceIoCrashSafe, PerFileFailuresAreAggregatedIntoOneError) {
 }
 
 TEST(TraceIoCrashSafe, ManifestRoundTripAndChecksums) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "ts_manifest";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "ts_manifest";
   fs::remove_all(dir);
   Config c = Config::all_enabled();
   c.trace_dir = dir;
@@ -676,7 +691,8 @@ TEST(TraceIoCrashSafe, ManifestRoundTripAndChecksums) {
 }
 
 TEST(TraceIoCrashSafe, TolerantLoadKeepsPrefixOfTruncatedFile) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "ts_truncated";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "ts_truncated";
   fs::remove_all(dir);
   fs::create_directories(dir);
   {
@@ -705,7 +721,8 @@ TEST(TraceIoCrashSafe, TolerantLoadKeepsPrefixOfTruncatedFile) {
 }
 
 TEST(TraceIoCrashSafe, TolerantLoadFlagsChecksumMismatchAndMissingFiles) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "ts_chksum";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "ts_chksum";
   fs::remove_all(dir);
   Config c = Config::all_enabled();
   c.trace_dir = dir;

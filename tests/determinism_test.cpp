@@ -12,6 +12,7 @@
 #include "graph/distribution.hpp"
 #include "graph/rmat.hpp"
 #include "shmem/shmem.hpp"
+#include "tmpdir.hpp"
 
 namespace {
 
@@ -51,8 +52,9 @@ void run_once(const fs::path& dir) {
 }
 
 TEST(Determinism, TraceFilesAreByteIdenticalAcrossRuns) {
-  const fs::path a = fs::path(::testing::TempDir()) / "det_a";
-  const fs::path b = fs::path(::testing::TempDir()) / "det_b";
+  const ap::test::TestDir tdir;
+  const fs::path a = tdir.path() / "det_a";
+  const fs::path b = tdir.path() / "det_b";
   run_once(a);
   run_once(b);
   int compared = 0;

@@ -309,8 +309,9 @@ TEST(EdgePapi, SyncVirtualClockIsNoopUnderRdtsc) {
 // --------------------------------------------------------------- trace_io
 
 TEST(EdgeTraceIo, ToleratesCrLfAndPadding) {
-  std::stringstream ss("# header\r\n 0 , 1 , 0 , 2 , 8 \r\n\r\n0,0,1,3,16\r\n");
-  const auto recs = ap::prof::io::parse_logical(ss);
+  std::vector<ap::prof::LogicalSendRecord> recs;
+  ap::prof::io::parse_csv(
+      "# header\r\n 0 , 1 , 0 , 2 , 8 \r\n\r\n0,0,1,3,16\r\n", recs);
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].dst_pe, 2);
   EXPECT_EQ(recs[1].dst_node, 1);
@@ -318,12 +319,13 @@ TEST(EdgeTraceIo, ToleratesCrLfAndPadding) {
 }
 
 TEST(EdgeTraceIo, OverallParserSkipsRelativeLines) {
-  std::stringstream ss(
+  std::vector<ap::prof::OverallRecord> recs;
+  ap::prof::io::parse_overall_into(
       "Relative [PE0] TCOMM_PROFILING (T_MAIN/T_TOTAL, T_COMM/T_TOTAL, "
       "T_PROC/T_TOTAL) = (0.1, 0.8, 0.1)\n"
       "Absolute [PE0] TCOMM_PROFILING (T_MAIN, T_COMM, T_PROC) = (10, 80, "
-      "10)\n");
-  const auto recs = ap::prof::io::parse_overall(ss);
+      "10)\n",
+      recs);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].t_total, 100u);
 }

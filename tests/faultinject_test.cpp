@@ -20,6 +20,7 @@
 #include "graph/rmat.hpp"
 #include "shmem/shmem.hpp"
 #include "viz/render.hpp"
+#include "tmpdir.hpp"
 
 namespace {
 
@@ -168,7 +169,8 @@ TEST(FaultInject, QuietChaosTriangleStillExact) {
 // ------------------------------------------------------------------ kill
 
 TEST(FaultInject, KillAtBarrierIsContainedAndSurvivorsFinish) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "fi_kill_trace";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "fi_kill_trace";
   fs::remove_all(dir);
 
   prof::Config pc = prof::Config::all_enabled();

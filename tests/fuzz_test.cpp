@@ -202,9 +202,8 @@ void check_parser_mutations(const std::string& name, const std::string& body,
     const std::size_t cut = rng.next_below(body.size() + 1);
     const std::string text = body.substr(0, cut);
     std::vector<Rec> out;
-    std::istringstream is(text);
     try {
-      parse_into(is, out);
+      parse_into(text, out);
     } catch (const io::TraceParseError& e) {
       EXPECT_EQ(e.line_no(), complete_lines(text) + 1)
           << name << " cut at byte " << cut;
@@ -222,9 +221,8 @@ void check_parser_mutations(const std::string& name, const std::string& body,
     const std::string text =
         body.substr(0, starts[k]) + junk + "\n" + body.substr(starts[k]);
     std::vector<Rec> out;
-    std::istringstream is(text);
     try {
-      parse_into(is, out);
+      parse_into(text, out);
       FAIL() << name << ": junk line at " << (k + 1) << " must throw";
     } catch (const io::TraceParseError& e) {
       EXPECT_EQ(e.line_no(), k + 1) << name;
@@ -251,11 +249,11 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
                       static_cast<int>(rng.next_below(4)),
                       static_cast<int>(rng.next_below(16)),
                       static_cast<std::uint32_t>(8 + rng.next_below(4096))});
-    std::ostringstream os;
-    io::write_logical(os, recs);
+    io::Sink os;
+    io::write_csv(os, recs);
     check_parser_mutations<ap::prof::LogicalSendRecord>(
         "logical", os.str(), "%%junk,###", false,
-        [](std::istream& is, auto& out) { io::parse_logical_into(is, out); },
+        [](std::string_view b, auto& out) { io::parse_csv(b, out); },
         rng);
   }
   {
@@ -275,11 +273,11 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
       r.is_proc = (rng.next_below(2) == 1);
       recs.push_back(r);
     }
-    std::ostringstream os;
-    io::write_papi(os, recs, cfg);
+    io::Sink os;
+    io::write_csv(os, recs, io::papi_aux(cfg));
     check_parser_mutations<ap::prof::PapiSegmentRecord>(
         "papi", os.str(), "junk,###", false,
-        [](std::istream& is, auto& out) { io::parse_papi_into(is, out); },
+        [](std::string_view b, auto& out) { io::parse_csv(b, out); },
         rng);
   }
   {
@@ -292,12 +290,12 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
       r.t_total = r.t_main + r.t_proc + rng.next_below(1 << 30);
       recs.push_back(r);
     }
-    std::ostringstream os;
+    io::Sink os;
     io::write_overall(os, recs);
     check_parser_mutations<ap::prof::OverallRecord>(
         "overall", os.str(), "Absolute garbage without the expected shape",
         true,
-        [](std::istream& is, auto& out) { io::parse_overall_into(is, out); },
+        [](std::string_view b, auto& out) { io::parse_overall_into(b, out); },
         rng);
   }
   {
@@ -310,11 +308,11 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
       r.dst_pe = static_cast<int>(rng.next_below(16));
       recs.push_back(r);
     }
-    std::ostringstream os;
-    io::write_physical(os, recs);
+    io::Sink os;
+    io::write_csv(os, recs);
     check_parser_mutations<ap::prof::PhysicalRecord>(
         "physical", os.str(), "weird_send,###,0,0", false,
-        [](std::istream& is, auto& out) { io::parse_physical_into(is, out); },
+        [](std::string_view b, auto& out) { io::parse_csv(b, out); },
         rng);
   }
   {
@@ -334,11 +332,11 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
       r.barrier_release = r.barrier_arrive + rng.next_below(1 << 20);
       recs.push_back(r);
     }
-    std::ostringstream os;
-    io::write_steps(os, recs);
+    io::Sink os;
+    io::write_csv(os, recs);
     check_parser_mutations<ap::prof::SuperstepRecord>(
         "steps", os.str(), "0,zero,##,not_a_superstep", false,
-        [](std::istream& is, auto& out) { io::parse_steps_into(is, out); },
+        [](std::string_view b, auto& out) { io::parse_csv(b, out); },
         rng);
   }
 }
@@ -404,8 +402,8 @@ TEST_P(BinaryFuzz, TruncationAndBitFlipsNeverBreakInvariants) {
                       static_cast<int>(rng.next_below(16)),
                       static_cast<std::uint32_t>(8 + rng.next_below(4096))});
     check_binary_mutations(
-        "logical.apt", io::encode_logical(recs), recs,
-        [](std::string_view b, auto& out) { io::decode_logical_into(b, out); },
+        "logical.apt", io::encode_apt(recs), recs,
+        [](std::string_view b, auto& out) { io::decode_apt(b, out); },
         rng);
   }
   {
@@ -426,8 +424,8 @@ TEST_P(BinaryFuzz, TruncationAndBitFlipsNeverBreakInvariants) {
       recs.push_back(r);
     }
     check_binary_mutations(
-        "steps.apt", io::encode_steps(recs), recs,
-        [](std::string_view b, auto& out) { io::decode_steps_into(b, out); },
+        "steps.apt", io::encode_apt(recs), recs,
+        [](std::string_view b, auto& out) { io::decode_apt(b, out); },
         rng);
   }
   {
@@ -441,9 +439,9 @@ TEST_P(BinaryFuzz, TruncationAndBitFlipsNeverBreakInvariants) {
       recs.push_back(r);
     }
     check_binary_mutations(
-        "physical.apt", io::encode_physical(recs), recs,
+        "physical.apt", io::encode_apt(recs), recs,
         [](std::string_view b, auto& out) {
-          io::decode_physical_into(b, out);
+          io::decode_apt(b, out);
         },
         rng);
   }
@@ -480,11 +478,13 @@ TEST_P(BinaryFuzz, IngestFramingSurvivesTruncationAndBitFlips) {
   ap::serve::append_push_segment(frame, io::kManifestFile, false,
                                  "num_pes 1\n");
   ap::serve::append_push_segment(
-      frame, steps_name,
-      true, io::encode_steps({rows.begin(), rows.begin() + 32}));
+      frame, steps_name, true,
+      io::encode_apt<ap::prof::SuperstepRecord>(
+          {rows.begin(), rows.begin() + 32}));
   ap::serve::append_push_segment(
       frame, steps_name, true,
-      io::encode_steps({rows.begin() + 32, rows.end()}));
+      io::encode_apt<ap::prof::SuperstepRecord>(
+          {rows.begin() + 32, rows.end()}));
 
   ap::serve::ServiceRegistry reg({});
   ASSERT_EQ(reg.handle("POST", "/ingest?run=base", frame).status, 200);
@@ -542,7 +542,7 @@ TEST_P(BinaryFuzz, CompressedSegmentMutationsAreRejectedNotCrashed) {
   for (std::uint64_t i = 0; i < 2000; ++i)
     recs.push_back({0, 0, 0, static_cast<int>(rng.next_below(8)),
                     static_cast<std::uint32_t>(8 + rng.next_below(64))});
-  const std::string comp = io::compress_trace(io::encode_logical(recs));
+  const std::string comp = io::compress_trace(io::encode_apt(recs));
   ASSERT_TRUE(io::is_compressed_trace(comp));
 
   ap::serve::ServiceRegistry reg({});

@@ -24,6 +24,7 @@
 #include "metrics/self_overhead.hpp"
 #include "runtime/finish.hpp"
 #include "shmem/shmem.hpp"
+#include "tmpdir.hpp"
 
 namespace {
 
@@ -328,6 +329,33 @@ TEST(OverheadMeter, ScopeChargesElapsedCycles) {
       nullptr, metrics::OverheadCategory::transfer, 0);
 }
 
+TEST(OverheadMeter, NestedScopesChargeExclusiveTime) {
+  // close_superstep's publish scope runs inside the superstep scope of its
+  // caller: the cycles must be charged once, to the inner category.
+  metrics::OverheadMeter m;
+  m.bind(1);
+  const auto spin = [] {
+    volatile std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < 200000; ++i) sink = sink + i;
+  };
+  const std::uint64_t t0 = papi::rdtsc_now();
+  {
+    metrics::OverheadMeter::Scope outer(
+        &m, metrics::OverheadCategory::superstep, 0);
+    spin();
+    {
+      metrics::OverheadMeter::Scope inner(
+          &m, metrics::OverheadCategory::publish, 0);
+      spin();
+    }
+    spin();
+  }
+  const std::uint64_t wall = papi::rdtsc_now() - t0;
+  EXPECT_GT(m.cycles(0, metrics::OverheadCategory::superstep), 0u);
+  EXPECT_GT(m.cycles(0, metrics::OverheadCategory::publish), 0u);
+  EXPECT_LE(m.total(0), wall);
+}
+
 // ------------------------------------------------------- env configuration
 
 class EnvGuard {
@@ -555,8 +583,9 @@ TEST(LiveMetrics, JsonExpositionIsValid) {
 }
 
 TEST(LiveMetrics, WriteMetricsProducesFiles) {
+  const ap::test::TestDir tdir;
   prof::Config c = metrics_config();
-  c.trace_dir = fs::path(::testing::TempDir()) / "metrics_out";
+  c.trace_dir = tdir.path() / "metrics_out";
   fs::remove_all(c.trace_dir);
   prof::Profiler profiler(c);
   run_workload(profiler, 2, 2, 50);
@@ -570,9 +599,10 @@ TEST(LiveMetrics, WriteMetricsProducesFiles) {
 }
 
 TEST(LiveMetrics, OverallTxtGainsSelfOverheadLines) {
+  const ap::test::TestDir tdir;
   prof::Config c = metrics_config();
   c.overall = true;
-  c.trace_dir = fs::path(::testing::TempDir()) / "overhead_out";
+  c.trace_dir = tdir.path() / "overhead_out";
   fs::remove_all(c.trace_dir);
   prof::Profiler profiler(c);
   run_workload(profiler, 2, 2, 50);
@@ -583,14 +613,16 @@ TEST(LiveMetrics, OverallTxtGainsSelfOverheadLines) {
   ss << is.rdbuf();
   EXPECT_NE(ss.str().find("SelfOverhead"), std::string::npos);
   // The parser must still accept the file (SelfOverhead lines are skipped).
-  std::ifstream again(c.trace_dir / "overall.txt");
-  EXPECT_EQ(prof::io::parse_overall(again).size(), 2u);
+  std::vector<prof::OverallRecord> again;
+  prof::io::parse_overall_into(ss.str(), again);
+  EXPECT_EQ(again.size(), 2u);
 }
 
 TEST(LiveMetrics, OverallTxtCleanWithoutMetrics) {
+  const ap::test::TestDir tdir;
   prof::Config c;
   c.overall = true;
-  c.trace_dir = fs::path(::testing::TempDir()) / "no_overhead_out";
+  c.trace_dir = tdir.path() / "no_overhead_out";
   fs::remove_all(c.trace_dir);
   prof::Profiler profiler(c);
   run_workload(profiler, 2, 2, 50);

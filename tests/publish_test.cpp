@@ -32,6 +32,7 @@
 #include "serve/registry.hpp"
 #include "serve/service.hpp"
 #include "shmem/shmem.hpp"
+#include "tmpdir.hpp"
 
 namespace {
 
@@ -142,7 +143,8 @@ class LiveTap {
 };
 
 void run_publish_roundtrip(ap::rt::Backend backend, const std::string& tag) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("publish_" + tag);
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / ("publish_" + tag);
   fs::remove_all(dir);
 
   ServiceRegistry reg({});  // no watched dir: pure push daemon
@@ -255,6 +257,7 @@ TEST(Publish, EndpointParsingIsStrict) {
 }
 
 TEST(Publish, UnreachableCollectorNeverBlocksTheRun) {
+  const ap::test::TestDir tdir;
   // Nothing listens on this port (we bind-and-close to find a free one).
   int dead_port = 0;
   {
@@ -271,7 +274,7 @@ TEST(Publish, UnreachableCollectorNeverBlocksTheRun) {
     ::close(fd);
   }
 
-  const fs::path dir = fs::path(::testing::TempDir()) / "publish_dead";
+  const fs::path dir = tdir.path() / "publish_dead";
   fs::remove_all(dir);
   ap::graph::RmatParams gp;
   gp.scale = 6;

@@ -35,6 +35,7 @@
 #include "serve/service.hpp"
 #include "shmem/shmem.hpp"
 #include "viz/heatmap_json.hpp"
+#include "tmpdir.hpp"
 
 namespace {
 
@@ -49,12 +50,9 @@ constexpr int kPes = 4;
 /// One profiled triangle run written in the binary trace format (with the
 /// conformance checker on, so /check has a report to serve).
 const fs::path& served_dir() {
+  static const ap::test::TestDir tdir;  // per process, removed at exit
   static const fs::path dir = [] {
-    // Unique per process: ctest -j runs each TEST as its own process, and
-    // several of them rebuild this fixture — a shared path would race.
-    const fs::path d = fs::path(::testing::TempDir()) /
-                       ("serve_trace_" + std::to_string(::getpid()));
-    fs::remove_all(d);
+    const fs::path d = tdir.path() / "serve_trace";
     ap::graph::RmatParams gp;
     gp.scale = 7;
     gp.edge_factor = 8;
@@ -261,7 +259,8 @@ TEST(Serve, IngestAppendAccumulatesRows) {
                                  "num_pes 1\n");
   ap::serve::append_push_segment(
       frame, name, /*append=*/true,
-      io::encode_steps({rows.begin(), rows.begin() + 3}));
+      io::encode_apt<ap::prof::SuperstepRecord>(
+          {rows.begin(), rows.begin() + 3}));
   ASSERT_EQ(reg.handle("POST", "/ingest?run=r", frame).status, 200);
   TraceService* svc = reg.find("r");
   ASSERT_NE(svc, nullptr);
@@ -270,13 +269,14 @@ TEST(Serve, IngestAppendAccumulatesRows) {
   std::string more;
   ap::serve::append_push_segment(
       more, name, /*append=*/true,
-      io::encode_steps({rows.begin() + 3, rows.end()}));
+      io::encode_apt<ap::prof::SuperstepRecord>(
+          {rows.begin() + 3, rows.end()}));
   ASSERT_EQ(reg.handle("POST", "/ingest?run=r", more).status, 200);
   EXPECT_EQ(svc->trace().steps[0].size(), 6u);
   // A replace frame supersedes the appended rows (write_all's final push).
   std::string final_frame;
   ap::serve::append_push_segment(final_frame, name, /*append=*/false,
-                                 io::encode_steps(rows));
+                                 io::encode_apt(rows));
   ASSERT_EQ(reg.handle("POST", "/ingest?run=r", final_frame).status, 200);
   EXPECT_EQ(svc->trace().steps[0].size(), 6u);
 }
@@ -304,7 +304,7 @@ TEST(Serve, LiveHandleDeliversHelloAndPollDeliversDeltas) {
   r.step = 7;
   ap::serve::append_push_segment(
       frame, io::binary_file_name(io::steps_file_name(1)), true,
-      io::encode_steps({r}));
+      io::encode_apt(std::vector<ap::prof::SuperstepRecord>{r}));
   ap::serve::append_push_segment(frame, "anomalies.txt", true,
                                  "straggler pe=1 t_cycles=5 value=9 "
                                  "fleet_median=3\n");
@@ -355,14 +355,15 @@ TEST(Serve, RetentionEvictsOldestPushRun) {
 // picked up: the file signature includes a content hash of the first/last
 // bytes, not just size+mtime.
 TEST(Serve, RefreshSeesSameSizeSameMtimeRewrite) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "serve_samesize";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "serve_samesize";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string shard = io::binary_file_name(io::logical_file_name(0));
   const auto write_rows = [&](int dst) {
     std::ofstream os(dir / shard, std::ios::binary | std::ios::trunc);
     const std::string body =
-        io::encode_logical({ap::prof::LogicalSendRecord{0, 0, 0, dst, 8}});
+        io::encode_apt(std::vector<ap::prof::LogicalSendRecord>{{0, 0, 0, dst, 8}});
     os.write(body.data(), static_cast<std::streamsize>(body.size()));
   };
   write_rows(5);
@@ -386,10 +387,11 @@ TEST(Serve, RefreshSeesSameSizeSameMtimeRewrite) {
 }
 
 TEST(Serve, MidRunPartialDirServesTolerantAnalysis) {
+  const ap::test::TestDir tdir;
   // A dir with only some shards flushed and no MANIFEST yet — what a
   // watcher sees mid-run. With --num-pes the service answers from the
   // tolerant partial load, byte-identical to the CLI on the same dir.
-  const fs::path dir = fs::path(::testing::TempDir()) / "serve_partial";
+  const fs::path dir = tdir.path() / "serve_partial";
   fs::remove_all(dir);
   fs::create_directories(dir);
   for (int pe = 0; pe < kPes; ++pe)
@@ -413,7 +415,8 @@ TEST(Serve, MidRunPartialDirServesTolerantAnalysis) {
 }
 
 TEST(Serve, RefreshIngestsShardsIncrementally) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "serve_incremental";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "serve_incremental";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -440,7 +443,7 @@ TEST(Serve, RefreshIngestsShardsIncrementally) {
   rows.push_back(rows.back());
   {
     std::ofstream os(dir / shard, std::ios::binary | std::ios::trunc);
-    const std::string body = io::encode_logical(rows);
+    const std::string body = io::encode_apt(rows);
     os.write(body.data(), static_cast<std::streamsize>(body.size()));
   }
   ASSERT_TRUE(svc.refresh());
@@ -465,12 +468,15 @@ TEST(Serve, RefreshIngestsShardsIncrementally) {
 // where PE1000 lands before PE2. A grown PE1000 shard must re-ingest into
 // logical[1000], not whatever slot a lexicographic walk would assign.
 TEST(Serve, RefreshMapsFourDigitShardsToTheRightPes) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "serve_4digit";
+  const ap::test::TestDir tdir;
+  const fs::path dir = tdir.path() / "serve_4digit";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto write_shard = [&](int pe, std::vector<ap::prof::LogicalSendRecord> rows) {
+    io::Sink out;
+    io::write_csv(out, rows);
     std::ofstream os(dir / io::logical_file_name(pe));
-    io::write_logical(os, rows);
+    os << out.str();
   };
   write_shard(2, {{0, 2, 0, 3, 8}});
   write_shard(10, {{0, 10, 0, 4, 8}});

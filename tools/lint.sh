@@ -18,6 +18,9 @@
 #      the observer batch-accounting API the metrics layer depends on.
 #   6. clang-tidy over the check/runtime/shmem sources when installed
 #      (.clang-tidy at the repo root); skipped with a note otherwise.
+#   7. Tests take scratch directories from tests/tmpdir.hpp (TestDir):
+#      a bare ::testing::TempDir() path — `TempDir()) / "literal"` and the
+#      like — is shared by the sibling processes of `ctest -j` and races.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -68,6 +71,14 @@ fi
 if ! grep -q 'on_handler_batch' src/actor/selector.hpp; then
   violation "selector no longer reports on_handler_batch (rule 5)" \
     "src/actor/selector.hpp"
+fi
+
+# Rule 7: no shared TempDir() paths in tests (tmpdir.hpp owns the one use).
+hits=$(grep -nE 'TempDir\(\)' tests/*.cpp tests/*.hpp \
+  | grep -v '^tests/tmpdir.hpp:' || true)
+if [ -n "${hits}" ]; then
+  violation "tests must use ap::test::TestDir, not TempDir() (rule 7)" \
+    "${hits}"
 fi
 
 if [ "${fail}" -ne 0 ]; then
