@@ -387,6 +387,34 @@ void Profiler::on_send(int mb, int dst_pe, std::size_t bytes,
   }
 }
 
+void Profiler::open_proc(PeData& d, int mb) {
+  fold(d);
+  d.region_stack.push_back(Region::Proc);
+  d.cur_handler_mb = mb;
+}
+
+void Profiler::close_proc(PeData& d) {
+  fold(d);
+  if (d.region_stack.size() > 1 && d.region_stack.back() == Region::Proc)
+    d.region_stack.pop_back();
+  d.cur_handler_mb = -1;
+}
+
+void Profiler::count_handled(PeData& d, int mb, std::uint64_t count,
+                             std::size_t bytes) {
+  if (cfg_.supersteps) d.msgs_handled_total += count;
+  if (cfg_.metrics) {
+    const int me = rt::my_pe();
+    registry_.add(me, ids_.actor_handlers, count);
+    registry_.add(me, ids_.queue_depth, -static_cast<std::int64_t>(count));
+  }
+  if (cfg_.papi) {
+    RowAgg& row = d.proc_rows[mb];
+    row.num += count;
+    row.pkt_bytes = static_cast<std::uint32_t>(bytes);
+  }
+}
+
 void Profiler::on_handler_begin(int mb, int src_pe, std::size_t bytes,
                                 std::uint64_t flow_id) {
   (void)src_pe;
@@ -396,20 +424,8 @@ void Profiler::on_handler_begin(int mb, int src_pe, std::size_t bytes,
                                      rt::my_pe());
   PeData& d = pe_data();
   if (!d.in_epoch) return;
-  fold(d);
-  d.region_stack.push_back(Region::Proc);
-  d.cur_handler_mb = mb;
-  if (cfg_.supersteps) ++d.msgs_handled_total;
-  if (cfg_.metrics) {
-    const int me = rt::my_pe();
-    registry_.add(me, ids_.actor_handlers);
-    registry_.add(me, ids_.queue_depth, -1);
-  }
-  if (cfg_.papi) {
-    RowAgg& row = d.proc_rows[mb];
-    row.num++;
-    row.pkt_bytes = static_cast<std::uint32_t>(bytes);
-  }
+  open_proc(d, mb);
+  count_handled(d, mb, 1, bytes);
   if (cfg_.timeline &&
       (cfg_.max_events_per_pe == 0 ||
        d.events.size() < cfg_.max_events_per_pe))
@@ -418,22 +434,40 @@ void Profiler::on_handler_begin(int mb, int src_pe, std::size_t bytes,
 }
 
 void Profiler::on_handler_end(int mb) {
-  (void)mb;
   if (!rt::in_spmd_region()) return;
   metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
                                      OverheadCategory::actor_handler,
                                      rt::my_pe());
   PeData& d = pe_data();
   if (!d.in_epoch) return;
-  fold(d);
-  if (d.region_stack.size() > 1 && d.region_stack.back() == Region::Proc)
-    d.region_stack.pop_back();
-  d.cur_handler_mb = -1;
+  close_proc(d);
   if (cfg_.timeline &&
       (cfg_.max_events_per_pe == 0 ||
        d.events.size() < cfg_.max_events_per_pe))
     d.events.push_back(
         TimelineEvent{TimelineEvent::Kind::EndProc, d.last_cycles, mb, 0});
+}
+
+void Profiler::on_handler_batch_begin(int mb) {
+  if (!rt::in_spmd_region()) return;
+  metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
+                                     OverheadCategory::actor_handler,
+                                     rt::my_pe());
+  PeData& d = pe_data();
+  if (!d.in_epoch) return;
+  open_proc(d, mb);
+}
+
+void Profiler::on_handler_batch(int mb, std::size_t count,
+                                std::size_t bytes_per_msg) {
+  if (!rt::in_spmd_region()) return;
+  metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
+                                     OverheadCategory::actor_handler,
+                                     rt::my_pe());
+  PeData& d = pe_data();
+  if (!d.in_epoch) return;
+  close_proc(d);
+  count_handled(d, mb, count, bytes_per_msg);
 }
 
 void Profiler::on_comm_begin() {

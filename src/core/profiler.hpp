@@ -95,6 +95,14 @@ class Profiler final : public actor::ActorObserver,
   void on_handler_begin(int mb, int src_pe, std::size_t bytes,
                         std::uint64_t flow_id) override;
   void on_handler_end(int mb) override;
+  /// Only the Chrome timeline renders every message; every other mode is
+  /// served by one PROC region per drained batch.
+  [[nodiscard]] bool wants_per_message_events() const override {
+    return cfg_.timeline;
+  }
+  void on_handler_batch_begin(int mb) override;
+  void on_handler_batch(int mb, std::size_t count,
+                        std::size_t bytes_per_msg) override;
   void on_comm_begin() override;
   void on_comm_end() override;
   /// Flow ids are only worth their wire bytes when the Chrome timeline
@@ -351,6 +359,13 @@ class Profiler final : public actor::ActorObserver,
   /// Fold cycle + PAPI deltas since the last boundary into the buckets of
   /// the current region, then re-stamp.
   void fold(PeData& d);
+  /// Enter / leave a PROC region running handlers of mailbox `mb` (one
+  /// message or one drained batch).
+  void open_proc(PeData& d, int mb);
+  void close_proc(PeData& d);
+  /// Credit `count` handled messages of `bytes` payload on mailbox `mb`.
+  void count_handled(PeData& d, int mb, std::uint64_t count,
+                     std::size_t bytes);
   void ensure_world();
   void register_metrics();
   /// Scheduler tick hook body: sample + detect when the interval elapsed.

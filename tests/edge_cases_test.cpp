@@ -344,6 +344,18 @@ TEST(EdgeSelector, ZeroMessagesTerminatesInstantly) {
   });
 }
 
+TEST(EdgeSelector, OnlyTheTimelineAsksForPerMessageHandlerEvents) {
+  // Every other mode is served by one PROC region per drained batch.
+  EXPECT_FALSE(ap::prof::Profiler(ap::prof::Config::all_enabled())
+                   .wants_per_message_events());
+  ap::prof::Config metrics;
+  metrics.metrics = true;
+  EXPECT_FALSE(ap::prof::Profiler(metrics).wants_per_message_events());
+  ap::prof::Config timeline;
+  timeline.timeline = true;
+  EXPECT_TRUE(ap::prof::Profiler(timeline).wants_per_message_events());
+}
+
 TEST(EdgeSelector, ObserverRestoredAfterProfilerScope) {
   // The profiler must chain/restore whatever observer was installed.
   struct Noop : actor::ActorObserver {
