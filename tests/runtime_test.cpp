@@ -110,10 +110,14 @@ TEST(Scheduler, NPesInsideLaunch) {
 }
 
 TEST(Scheduler, RoundRobinIsDeterministic) {
-  // Two identical launches must interleave identically.
+  // Two identical launches must interleave identically. The round-robin
+  // interleaving (and the one shared vector every PE appends to) is the
+  // fiber backend's; pin it so the suite also passes under
+  // ACTORPROF_BACKEND=threads.
   auto trace_of = [] {
     LaunchConfig cfg;
     cfg.num_pes = 4;
+    cfg.backend = ap::rt::Backend::fiber;
     std::vector<int> trace;
     ap::rt::launch(cfg, [&trace] {
       for (int i = 0; i < 3; ++i) {

@@ -30,14 +30,17 @@ done
 # Bench smoke: the benches must build, and the --json fast-path report
 # (what tools/bench.sh records into BENCH_conveyor.json) must still run.
 # One short iteration only — this is a does-it-work check, not a
-# measurement; see docs/PERFORMANCE.md for real baselines.
+# measurement; see docs/PERFORMANCE.md for real baselines. The profiler
+# overhead report runs histogram under every profiling mode (all but the
+# timeline take the batch-dispatch path); it is printed, not gated.
 echo "==== bench smoke ===="
 cmake --build --preset default -j "${jobs}" \
-  --target micro_conveyor micro_selector scaling_triangle
+  --target micro_conveyor micro_selector scaling_triangle overhead_tracing
 smoke_json=$(mktemp)
 trap 'rm -f "${smoke_json}"' EXIT
 build/bench/micro_conveyor --json="${smoke_json}" --msgs=2000
 grep -q '"items_per_sec"' "${smoke_json}"
+build/bench/overhead_tracing --json
 echo "bench smoke OK"
 
 # Serve smoke: `actorprof serve` on a fresh binary-format trace must answer
